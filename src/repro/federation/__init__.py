@@ -4,11 +4,15 @@ This package realizes the paper's actual setting — *collaborative* update
 exchange between many autonomous peers joined by tgd mappings — on top of the
 single-repository service layer.  Each :class:`~repro.federation.peer.Peer`
 runs its own :class:`~repro.service.repository.RepositoryService` over the
-relations it owns; cross-peer mappings are driven by commit-time exchange
-envelopes crossing an in-process
+relations it owns and implements the whole exchange protocol once:
+cross-peer mappings are driven by commit-time exchange envelopes, and
+frontier questions raised by forwarded updates route back to the
+originating peer's inbox.  Two drivers move the envelopes: the in-process
+:class:`~repro.federation.network.FederatedNetwork` over a
 :class:`~repro.federation.transport.Transport` with configurable delay,
-reordering and partition/heal controls; frontier questions raised by
-forwarded updates route back to the originating peer's inbox.  When every
+reordering and partition/heal controls, and the socket
+:class:`~repro.federation.process_network.ProcessFederation`, one OS
+process per peer.  When every
 queue drains (:meth:`~repro.federation.network.FederatedNetwork.quiescent`),
 the union of the peers' committed stores is differentially checked against
 the single-repository chase over the union of mappings

@@ -140,3 +140,25 @@ ExchangePayload = Union[
     QuestionAnswer,
     CommitNotice,
 ]
+
+
+@dataclass(frozen=True)
+class Bundle:
+    """Several payloads travelling as one envelope (a per-destination flush).
+
+    The transport treats the bundle as a single message — one queue slot, one
+    delivery, one delay — which is exactly the point: a commit batch's worth
+    of exchange envelopes to the same destination pays the per-message fixed
+    costs once.  Receivers unpack and process the payloads in order, so a
+    bundle is semantically identical to sending its payloads back-to-back on
+    a FIFO link (and *stronger* under reordering: the bundle cannot be
+    interleaved).
+    """
+
+    payloads: PyTuple[object, ...]
+    #: Trace context of the first traced member (``None`` when tracing is
+    #: off); ``compare=False`` keeps bundle equality content-only.
+    trace: Optional[SpanContext] = field(default=None, compare=False)
+
+    def __len__(self) -> int:
+        return len(self.payloads)

@@ -1,10 +1,10 @@
-"""The federated network: many repositories, one collaborative exchange.
+"""The federated network: every peer in one process, over a simulated transport.
 
-A :class:`FederatedNetwork` is the multi-peer realization of the paper's
-setting: every peer runs its own full update-exchange service (store, tracker,
-optimistic scheduler, admission queue, frontier inbox) over the relations it
-owns, and the tgd mappings that link peers are driven by commit-time exchange
-over a simulated :class:`~repro.federation.transport.Transport`:
+A :class:`FederatedNetwork` is the in-process driver of the peer runtime
+(:mod:`repro.federation.peer`).  Every peer runs its own full update-exchange
+service over the relations it owns, and the tgd mappings that link peers are
+driven by commit-time exchange over a simulated
+:class:`~repro.federation.transport.Transport`:
 
 * a user operation submitted at a peer executes at the *owner* of its target
   relation — locally, or routed as a :class:`~repro.federation.envelopes.RemoteUpdate`
@@ -15,69 +15,61 @@ over a simulated :class:`~repro.federation.transport.Transport`:
 * frontier questions raised while chasing a forwarded update are routed back
   to the *originating* peer's federated inbox, answered there, and the answer
   travels back to resume the parked update;
-* :meth:`FederatedNetwork.quiescent` holds when every queue — transport,
-  outboxes, admission, scheduler, inboxes — has drained, at which point the
-  union of the peers' committed stores is a chase fixpoint of the union
-  mapping set (differentially tested against the single-repository engine in
+* :meth:`FederatedNetwork.quiescent` holds when the transport is empty and
+  every peer is idle, at which point the union of the peers' committed
+  stores is a chase fixpoint of the union mapping set (differentially tested
+  against the single-repository engine in
   :mod:`repro.federation.convergence`).
 
-The network is cooperatively scheduled like everything else in this
-reproduction: :meth:`pump` performs one federation round (deliver, chase,
-route, flush), and :meth:`run_until_quiescent` loops it, optionally answering
-open questions with a strategy.
+All of that protocol lives in :class:`~repro.federation.peer.Peer`; the
+network only moves messages.  It is cooperatively scheduled like everything
+else in this reproduction: :meth:`pump` is one federation round (transport
+pump → :meth:`Peer.deliver` → one :meth:`Peer.step` per peer, whose flush
+sends onto the transport), and :meth:`run_until_quiescent` loops it,
+optionally answering open questions with a strategy.  The driver's own
+decisions: a delivery refused by a full admission queue goes back onto the
+transport, and a local submission that overflows admission raises to the
+submitting client.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple as PyTuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from ..core.frontier import FrontierOperation, FrontierRequest
-from ..core.oracle import OracleError
+from ..core.frontier import FrontierOperation
 from ..core.schema import DatabaseSchema
-from ..core.terms import NullFactory
 from ..core.tgd import Tgd
-from ..core.update import DeleteOperation, InsertOperation, UserOperation
+from ..core.update import UserOperation
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import SpanContext, default_tracer
-from ..service.admission import AdmissionConfig, AdmissionError
-from ..service.repository import RepositoryService
-from ..service.tickets import RemoteOrigin, TicketStatus, UpdateTicket
+from ..obs.trace import default_tracer
+from ..service.admission import AdmissionConfig
+from ..service.tickets import TicketStatus
 from ..storage.interface import DatabaseView
 from ..storage.memory import FrozenDatabase
-from .envelopes import (
-    CommitNotice,
-    ExchangeFiring,
-    ExchangeRetraction,
-    QuestionAnswer,
-    QuestionCancelled,
-    QuestionOpened,
-    RemoteUpdate,
-)
 from .exchange import ExchangeRules, FederationError
-from .exchange import coalesce_envelopes as _coalesce_batch
-from .operations import RemoteFiringOperation, RemoteRetractionOperation
-from .peer import Peer
-from .transport import Bundle, Envelope, Transport
+
+# ``perfbench/layers.py`` times exchange coalescing under this name.
+from .exchange import coalesce_envelopes as _coalesce_batch  # noqa: F401
+from .peer import FederatedQuestion, Peer, validate_ownership
+from .transport import Transport
 
 
 @dataclass
 class FederatedTicket:
-    """The network-level handle of one user submission."""
+    """The network-level handle of one user submission.
+
+    Its status turns terminal when the peer it was submitted at reports so:
+    at once for local execution, and for routed execution only once the
+    commit notice crosses the transport (partitions delay knowledge, as they
+    should).
+    """
 
     ticket_id: int
     peer: str
     target: str
     operation: UserOperation
     status: TicketStatus = TicketStatus.QUEUED
-    #: The executing service's ticket (set immediately for local execution;
-    #: remote execution is tracked through commit notices instead, so the
-    #: originating peer only learns of the commit once the notice crosses the
-    #: transport — partitions delay knowledge, as they should).
-    local_ticket: Optional[UpdateTicket] = None
-    #: Root tracing span of a *routed* submission (local submissions root
-    #: their trace in the executing service's ticket instead).
-    trace_span: Optional[object] = field(default=None, repr=False)
 
     @property
     def is_remote(self) -> bool:
@@ -97,26 +89,6 @@ class FederatedTicket:
         )
 
 
-@dataclass(frozen=True)
-class FederatedQuestion:
-    """One open frontier question as seen from a peer's federated inbox."""
-
-    executing_peer: str
-    decision_id: int
-    request: FrontierRequest
-    origin: RemoteOrigin
-    description: str
-    #: Trace context of the parked update (``None`` when tracing is off).
-    trace: Optional[SpanContext] = field(default=None, compare=False)
-
-    @property
-    def key(self) -> PyTuple[str, int]:
-        return (self.executing_peer, self.decision_id)
-
-    def alternatives(self) -> List[FrontierOperation]:
-        return self.request.alternatives()
-
-
 @dataclass
 class FederationPumpReport:
     """What one federation round did."""
@@ -124,8 +96,6 @@ class FederationPumpReport:
     delivered: int = 0
     steps: int = 0
     committed: int = 0
-    flushed: int = 0
-    questions_opened: int = 0
 
 
 #: ``strategy(question) -> choice`` used by :meth:`run_until_quiescent`.
@@ -152,166 +122,79 @@ class FederatedNetwork:
     ):
         self.schema = schema
         self._tracer = tracer if tracer is not None else default_tracer()
-        owner_of: Dict[str, str] = {}
-        for peer_name, relations in ownership.items():
-            for relation in relations:
-                if relation not in schema:
-                    raise FederationError(
-                        "peer {!r} claims unknown relation {!r}".format(
-                            peer_name, relation
-                        )
-                    )
-                if relation in owner_of:
-                    raise FederationError(
-                        "relation {!r} claimed by both {!r} and {!r}".format(
-                            relation, owner_of[relation], peer_name
-                        )
-                    )
-                owner_of[relation] = peer_name
-        unowned = [name for name in schema.relation_names() if name not in owner_of]
-        if unowned:
-            raise FederationError(
-                "no peer owns relation(s) {}".format(sorted(unowned))
-            )
-        self.owner_of = owner_of
-        self.rules = ExchangeRules(mappings, owner_of)
+        self.owner_of = validate_ownership(schema, ownership)
+        self.rules = ExchangeRules(mappings, self.owner_of)
         self.transport = transport if transport is not None else Transport()
         if tracer is not None:
             # An explicitly traced network traces its transport too (a
             # transport built separately defaults to the process tracer).
             self.transport.tracer = tracer
-        #: Construction parameters kept for peer restarts (see
-        #: :meth:`restart_peer`): a reborn peer's service is rebuilt with the
-        #: same tracker, admission policy and budgets as its predecessor.
-        self._ownership: Dict[str, PyTuple[str, ...]] = {
-            name: tuple(relations) for name, relations in ownership.items()
-        }
-        self._tracker_spec = tracker
-        self._admission_spec = admission
-        self._max_total_steps = max_total_steps
-        self._group_commit = group_commit
-        #: Coalesce commit batches' envelopes and flush per-destination
-        #: bundles; ``False`` restores per-envelope staging and sends (the
-        #: reference behavior the coalescing differential tests compare to).
-        self.coalesce_envelopes = coalesce_envelopes
-        #: The in-process staging window (pump rounds only — byte/deadline
-        #: triggers belong to the socket world's real clocks).  K=1 is the
-        #: passthrough default: every round's outbox flushes that round,
-        #: bit-identical with the pre-window behavior.  K>1 parks outbox
-        #: payloads for K pump rounds and re-coalesces the cross-round
-        #: window before flushing.
-        self._stage_rounds = max(1, int(stage_rounds))
-        self._staged: Dict[str, List[PyTuple[str, object]]] = {}
-        self._staged_at: Dict[str, int] = {}
-        self._pump_round = 0
-        self._peers: Dict[str, Peer] = {}
-        for peer_name, relations in ownership.items():
-            contents = {
-                relation: frozenset(initial.tuples(relation))
-                if owner_of[relation] == peer_name
-                else frozenset()
-                for relation in schema.relation_names()
-            }
-            if isinstance(admission, dict):
-                # Heterogeneous federations: each peer may run its own
-                # admission policy (slow archive, fast edge).
-                peer_admission = admission.get(peer_name)
-            else:
-                peer_admission = admission
-            service = RepositoryService(
-                FrozenDatabase(schema, contents),
-                self.rules.local_mappings(peer_name),
-                tracker=tracker,
-                admission=peer_admission,
-                max_total_steps=max_total_steps,
-                group_commit=group_commit,
-                tracer=self._tracer,
-                trace_peer=peer_name,
-                # Peer-unique null prefixes: two peers' chases must never mint
-                # the same labeled null, or shipping a head row would silently
-                # identify two unrelated unknowns at the destination.
-                null_factory=NullFactory.avoiding_view(
-                    initial, prefix="{}s".format(peer_name)
-                ),
-            )
-            self._peers[peer_name] = Peer(
-                name=peer_name,
-                service=service,
-                owned_relations=tuple(relations),
-                rules=self.rules,
-                firing_factory=NullFactory.avoiding_view(
-                    initial, prefix="{}f".format(peer_name)
-                ),
-                coalesce=coalesce_envelopes,
-            )
-        self._inboxes: Dict[str, Dict[PyTuple[str, int], FederatedQuestion]] = {
-            name: {} for name in self._peers
+        #: Construction parameters a peer (re)build needs: a reborn peer
+        #: (:meth:`restart_peer`) gets the same tracker, admission policy,
+        #: budgets, tracer and staging as its predecessor.
+        self._initial = initial
+        self._admission = admission
+        self._peer_options = dict(
+            tracker=tracker,
+            max_total_steps=max_total_steps,
+            group_commit=group_commit,
+            tracer=self._tracer,
+            coalesce=coalesce_envelopes,
+            stage_rounds=stage_rounds,
+        )
+        self._peers: Dict[str, Peer] = {
+            name: self._build_peer(name) for name in ownership
         }
         self._tickets: Dict[int, FederatedTicket] = {}
-        self._unresolved: List[FederatedTicket] = []
         self._next_ticket_id = 1
-        #: Federation-level counters, registered into one registry whose
-        #: ``collect()`` is the whole :meth:`metrics` snapshot (transport and
-        #: per-peer service metrics fold in as producers; the key set and
-        #: order are bit-compatible with the pre-registry dict merging).
+        #: One registry whose ``collect()`` is the whole :meth:`metrics`
+        #: snapshot: federation totals over the peers' counters, then the
+        #: transport and per-peer service metrics as producers.
         self.registry = MetricsRegistry()
         self.registry.gauge("peers").set_function(lambda: len(self._peers))
-        self._updates_routed = self.registry.counter("updates_routed")
-        self._firings_delivered = self.registry.counter("firings_delivered")
-        self._retractions_delivered = self.registry.counter("retractions_delivered")
-        self._questions_routed = self.registry.counter("questions_routed")
-        self._answers_routed = self.registry.counter("answers_routed")
-        self._answers_dropped = self.registry.counter("answers_dropped")
-        self._cancellations = self.registry.counter("question_cancellations")
-        #: Envelope deliveries re-queued because the destination's bounded
-        #: admission queue was full (retried on later pumps).
-        self._deliveries_deferred = self.registry.counter("deliveries_deferred")
-        self.registry.gauge("firings_emitted").set_function(
-            lambda: sum(p.firings_emitted for p in self._peers.values())
-        )
-        self.registry.gauge("retractions_emitted").set_function(
-            lambda: sum(p.retractions_emitted for p in self._peers.values())
-        )
-        self.registry.gauge("envelopes_coalesced").set_function(
-            lambda: sum(p.envelopes_coalesced for p in self._peers.values())
-        )
+        for counter in (
+            "updates_routed",
+            "firings_delivered",
+            "retractions_delivered",
+            "questions_routed",
+            "answers_routed",
+            "answers_dropped",
+            "question_cancellations",
+            "deliveries_deferred",
+            "firings_emitted",
+            "retractions_emitted",
+            "envelopes_coalesced",
+        ):
+            self.registry.gauge(counter).set_function(
+                lambda counter=counter: sum(
+                    getattr(peer, counter) for peer in self._peers.values()
+                )
+            )
         self.registry.register_producer(lambda: self.transport.metrics())
         self.registry.register_producer(self._peer_service_metrics)
 
-    # ------------------------------------------------------------------
-    # Counter compatibility properties (instruments live in the registry)
-    # ------------------------------------------------------------------
-    @property
-    def updates_routed(self) -> int:
-        return self._updates_routed.value
-
-    @property
-    def firings_delivered(self) -> int:
-        return self._firings_delivered.value
-
-    @property
-    def retractions_delivered(self) -> int:
-        return self._retractions_delivered.value
-
-    @property
-    def questions_routed(self) -> int:
-        return self._questions_routed.value
-
-    @property
-    def answers_routed(self) -> int:
-        return self._answers_routed.value
-
-    @property
-    def answers_dropped(self) -> int:
-        return self._answers_dropped.value
-
-    @property
-    def cancellations(self) -> int:
-        return self._cancellations.value
+    def _build_peer(self, name: str, restore: Optional[str] = None) -> Peer:
+        admission = self._admission
+        if isinstance(admission, dict):
+            # Heterogeneous federations: each peer may run its own admission
+            # policy (slow archive, fast edge).
+            admission = admission.get(name)
+        return Peer.build(
+            name,
+            self.rules,
+            self._initial,
+            send=lambda destination, payload: self.transport.send(
+                name, destination, payload
+            ),
+            restore=restore,
+            admission=admission,
+            **self._peer_options,
+        )
 
     @property
     def deliveries_deferred(self) -> int:
-        return self._deliveries_deferred.value
+        """Deliveries a full admission queue refused (every refusal counts)."""
+        return sum(peer.deliveries_deferred for peer in self._peers.values())
 
     @property
     def tracer(self):
@@ -356,129 +239,36 @@ class FederatedNetwork:
         """Kill peer *name* and rebuild it from a checkpoint file.
 
         The old peer object (service, store, scheduler, sessions) is simply
-        dropped — that *is* the crash.  The replacement is restored from the
-        checkpoint: committed store as its initial state, pending operations
-        re-submitted with their federation origins, null-factory and
-        decision-id numbering resumed, commit-notice obligations re-linked to
-        the re-submitted tickets.  Envelopes in flight on the transport are
-        untouched and deliver to the reborn peer as usual (delivery
-        re-submits through its admission queue, so nothing cares that the
-        service behind the name changed).
-
-        Open federated questions whose *executing* peer was the killed one
-        are dropped from every inbox: their decisions died with the old
-        service, and the re-submitted updates will re-ask them under fresh
-        decision ids.  Federated tickets that were executing locally at the
-        killed peer are re-pointed at their re-submitted service tickets.
+        dropped — that *is* the crash.  The replacement is restored by
+        :meth:`Peer.build` exactly as a socket peer process is.  Envelopes
+        in flight on the transport are untouched and deliver to the reborn
+        peer as usual.  Open federated questions the killed peer was
+        *asking* are dropped from every inbox: their decisions died with the
+        old service, and the re-submitted updates re-ask them under fresh
+        decision ids.
         """
-        old = self.peer(name)
-        restored = RepositoryService.restore(
-            path,
-            self.rules.local_mappings(name),
-            tracker=self._tracker_spec,
-            admission=self._admission_spec.get(name)
-            if isinstance(self._admission_spec, dict)
-            else self._admission_spec,
-            max_total_steps=self._max_total_steps,
-            group_commit=self._group_commit,
-        )
-        extra = restored.extra
-        reborn = Peer(
-            name=name,
-            service=restored.service,
-            owned_relations=self._ownership[name],
-            rules=self.rules,
-            firing_factory=NullFactory.from_state(extra["firing_factory"]),
-            coalesce=self.coalesce_envelopes,
-        )
-        for old_ticket_id, origin_body in extra.get("notify", ()):
-            replacement = restored.resubmitted.get(old_ticket_id)
-            if replacement is not None:
-                reborn.expect_notice(
-                    replacement.ticket_id,
-                    RemoteOrigin(origin_body["peer"], origin_body["ticket"]),
-                )
-        self._peers[name] = reborn
-        # Questions executed by the dead service are unanswerable; drop them
-        # everywhere (the reborn peer re-asks under fresh decision ids).
-        for inbox in self._inboxes.values():
-            for key in [key for key in inbox if key[0] == name]:
-                del inbox[key]
-        # Re-point federated tickets that were executing at the killed peer
-        # onto their re-submitted successors (committed ones already mirrored).
-        for ticket in self._tickets.values():
-            if ticket.target != name or ticket.local_ticket is None:
-                continue
-            if ticket.is_done:
-                continue
-            replacement = restored.resubmitted.get(ticket.local_ticket.ticket_id)
-            if replacement is not None:
-                ticket.local_ticket = replacement
-        # The old peer's sessions are gone; nothing else references it.
-        del old
+        self.peer(name)
+        reborn = self._peers[name] = self._build_peer(name, restore=path)
+        for peer in self._peers.values():
+            peer.drop_questions(name)
         return reborn
 
     # ------------------------------------------------------------------
-    # Submission and routing
+    # Submission and the federation round
     # ------------------------------------------------------------------
-    def _route(self, peer_name: str, operation: UserOperation) -> str:
-        if isinstance(operation, (InsertOperation, DeleteOperation)):
-            return self.owner_of[operation.row.relation]
-        # Null replacements (and anything exotic) execute where submitted:
-        # a labeled null's occurrences are confined to the peer that minted
-        # it under this exchange model.
-        return peer_name
-
     def submit(self, peer_name: str, operation: UserOperation) -> FederatedTicket:
-        """Submit a user operation at *peer_name*; it executes at the owner."""
+        """Submit a user operation at *peer_name*; it executes at the owner.
+
+        A local admission overflow raises
+        :class:`~repro.service.admission.AdmissionError` to the caller, who
+        backs off; no ticket is registered.
+        """
         peer = self.peer(peer_name)
-        target = self._route(peer_name, operation)
-        ticket = FederatedTicket(
-            ticket_id=self._next_ticket_id,
-            peer=peer_name,
-            target=target,
-            operation=operation,
-        )
+        ticket_id = self._next_ticket_id
         self._next_ticket_id += 1
-        self._tickets[ticket.ticket_id] = ticket
-        self._unresolved.append(ticket)
-        if target == peer_name:
-            try:
-                ticket.local_ticket = peer.service.submit(
-                    peer.gateway.session_id, operation
-                )
-            except AdmissionError:
-                # Local admission overflow is the submitting client's error;
-                # unregister the stillborn ticket and let the caller back off.
-                del self._tickets[ticket.ticket_id]
-                self._unresolved.remove(ticket)
-                raise
-        else:
-            self._updates_routed.inc()
-            trace = None
-            if self._tracer.enabled:
-                # Routed submissions root their trace here at the origin (the
-                # executing service's ticket span becomes a child); the root
-                # closes when the commit notice makes it back.
-                ticket.trace_span = self._tracer.start_span(
-                    "update",
-                    peer=peer_name,
-                    kind="user",
-                    op_type=type(operation).__name__,
-                    op=operation.describe(),
-                    ticket=ticket.ticket_id,
-                    routed_to=target,
-                )
-                trace = ticket.trace_span.context
-            self.transport.send(
-                peer_name,
-                target,
-                RemoteUpdate(
-                    operation=operation,
-                    origin=RemoteOrigin(peer_name, ticket.ticket_id),
-                    trace=trace,
-                ),
-            )
+        target = peer.submit(ticket_id, operation)
+        ticket = FederatedTicket(ticket_id, peer_name, target, operation)
+        self._tickets[ticket_id] = ticket
         return ticket
 
     def ticket(self, ticket_id: int) -> FederatedTicket:
@@ -488,200 +278,39 @@ class FederatedNetwork:
         except KeyError:
             raise FederationError("unknown federated ticket #{}".format(ticket_id))
 
-    # ------------------------------------------------------------------
-    # The federation round
-    # ------------------------------------------------------------------
     def pump(self) -> FederationPumpReport:
-        """One federation round: deliver, chase every peer, route, flush."""
+        """One federation round: deliver, then one work round per peer."""
         report = FederationPumpReport()
-        self._pump_round += 1
         for envelope in self.transport.pump():
-            self.peer(envelope.destination).activity_seq += 1
-            self._deliver(envelope)
+            peer = self._peers[envelope.destination]
+            for payload in peer.deliver(envelope.payload):
+                # The destination's admission queue is full.  Nothing may be
+                # lost: the payload goes back on the wire (bare, even if it
+                # arrived bundled) and is retried on a later pump.
+                self.transport.send(envelope.source, envelope.destination, payload)
+            self._apply_events(peer)
             report.delivered += 1
         for peer in self._peers.values():
-            service_report = peer.service.pump()
-            if service_report.steps or service_report.committed:
-                peer.activity_seq += 1
+            service_report = peer.step()
+            self._apply_events(peer)
             report.steps += service_report.steps
             report.committed += len(service_report.committed)
-        for peer in self._peers.values():
-            opened_local, vanished = peer.scan_questions()
-            inbox = self._inboxes[peer.name]
-            for question in opened_local:
-                federated = FederatedQuestion(
-                    executing_peer=peer.name,
-                    decision_id=question.decision_id,
-                    request=question.request,
-                    origin=RemoteOrigin(peer.name, question.ticket.ticket_id),
-                    description=question.ticket.describe(),
-                    trace=question.ticket.trace_context,
-                )
-                inbox[federated.key] = federated
-                report.questions_opened += 1
-            for decision_id in vanished:
-                inbox.pop((peer.name, decision_id), None)
-            peer.scan_failures()
-        self._mirror_local_tickets()
-        for peer in self._peers.values():
-            if not peer.outbox:
-                continue
-            peer.activity_seq += 1
-            if self._stage_rounds > 1:
-                window = self._staged.setdefault(peer.name, [])
-                if not window:
-                    self._staged_at[peer.name] = self._pump_round
-                window.extend(peer.outbox)
-                peer.outbox.clear()
-                continue
-            self._flush_pairs(peer, peer.outbox, report)
-            peer.outbox.clear()
-        if self._stage_rounds > 1:
-            for name, window in self._staged.items():
-                if not window:
-                    continue
-                if (
-                    self._pump_round - self._staged_at[name] + 1
-                    < self._stage_rounds
-                ):
-                    continue
-                peer = self._peers[name]
-                if self.coalesce_envelopes and len(window) > 1:
-                    # The window's whole point: payloads staged across
-                    # *different* rounds coalesce together before the wire.
-                    coalesced = _coalesce_batch(window)
-                    peer.envelopes_coalesced += len(window) - len(coalesced)
-                    window = coalesced
-                peer.activity_seq += 1
-                self._flush_pairs(peer, window, report)
-                self._staged[name] = []
         return report
 
-    def _flush_pairs(
-        self,
-        peer: Peer,
-        pairs: List[PyTuple[str, object]],
-        report: FederationPumpReport,
-    ) -> None:
-        if self.coalesce_envelopes:
-            # Per-destination bundle flush: every payload staged for the
-            # same peer this round shares one envelope (one queue slot,
-            # one delay, one delivery).
-            order: List[str] = []
-            by_destination: Dict[str, List[object]] = {}
-            for destination, payload in pairs:
-                if destination not in by_destination:
-                    order.append(destination)
-                    by_destination[destination] = []
-                by_destination[destination].append(payload)
-                report.flushed += 1
-            for destination in order:
-                self.transport.send_bundle(
-                    peer.name, destination, by_destination[destination]
-                )
-        else:
-            for destination, payload in pairs:
-                self.transport.send(peer.name, destination, payload)
-                report.flushed += 1
-
-    def _deliver(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        if isinstance(payload, Bundle):
-            # Bundles unpack in order, so delivery is indistinguishable from
-            # the payloads having arrived back-to-back on a FIFO link.
-            for inner in payload.payloads:
-                self._deliver_payload(envelope.source, envelope.destination, inner)
-        else:
-            self._deliver_payload(envelope.source, envelope.destination, payload)
-
-    def _deliver_payload(self, source: str, destination: str, payload: object) -> None:
-        peer = self.peer(destination)
-        if isinstance(payload, (RemoteUpdate, ExchangeFiring, ExchangeRetraction)):
-            if isinstance(payload, RemoteUpdate):
-                operation = payload.operation
-            elif isinstance(payload, ExchangeFiring):
-                operation = RemoteFiringOperation(
-                    payload.tgd, payload.assignment(), payload.head_rows
-                )
-            else:
-                operation = RemoteRetractionOperation(
-                    payload.tgd, payload.assignment()
-                )
-            try:
-                ticket = peer.service.submit(
-                    peer.gateway.session_id,
-                    operation,
-                    origin=payload.origin,
-                    trace=payload.trace,
-                )
-            except AdmissionError:
-                # The destination's bounded admission queue is full.  Nothing
-                # may be lost: put the payload back on the wire (bare, even if
-                # it arrived bundled) and try again on a later pump (transport
-                # backpressure, not a crash).
-                self.transport.send(source, destination, payload)
-                self._deliveries_deferred.inc()
-                return
-            if isinstance(payload, RemoteUpdate):
-                peer.expect_notice(ticket.ticket_id, payload.origin)
-            elif isinstance(payload, ExchangeFiring):
-                self._firings_delivered.inc()
-            else:
-                self._retractions_delivered.inc()
-        elif isinstance(payload, QuestionOpened):
-            federated = FederatedQuestion(
-                executing_peer=payload.executing_peer,
-                decision_id=payload.decision_id,
-                request=payload.request,
-                origin=payload.origin,
-                description=payload.ticket_description,
-                trace=payload.trace,
-            )
-            self._inboxes[destination][federated.key] = federated
-            self._questions_routed.inc()
-        elif isinstance(payload, QuestionCancelled):
-            removed = self._inboxes[destination].pop(
-                (payload.executing_peer, payload.decision_id), None
-            )
-            if removed is not None:
-                self._cancellations.inc()
-        elif isinstance(payload, QuestionAnswer):
-            try:
-                peer.service.answer(
-                    peer.gateway.session_id, payload.decision_id, payload.choice
-                )
-                peer.mark_answered(payload.decision_id)
-            except OracleError:
-                # The asking update aborted (its question was cancelled) while
-                # the answer was in flight; the restart will ask afresh.
-                self._answers_dropped.inc()
-        elif isinstance(payload, CommitNotice):
-            ticket = self._tickets.get(payload.origin.ticket_id)
-            if ticket is not None:
-                ticket.status = payload.status
-                if ticket.trace_span is not None:
-                    self._tracer.end_span(
-                        ticket.trace_span, status=payload.status.value
-                    )
-        else:  # pragma: no cover - the payload union is closed
-            raise FederationError("undeliverable payload {!r}".format(payload))
-
-    def _mirror_local_tickets(self) -> None:
-        still_unresolved: List[FederatedTicket] = []
-        for ticket in self._unresolved:
-            if ticket.local_ticket is not None:
-                ticket.status = ticket.local_ticket.status
-            if not ticket.is_done:
-                still_unresolved.append(ticket)
-        self._unresolved = still_unresolved
+    def _apply_events(self, peer: Peer) -> None:
+        """Mirror the terminal states a peer reported onto federated tickets."""
+        if not peer.events:
+            return
+        for event in peer.take_events():
+            if event[0] == "ticket":
+                self._tickets[event[1]].status = event[2]
 
     # ------------------------------------------------------------------
     # The federated inbox
     # ------------------------------------------------------------------
     def inbox(self, peer_name: str) -> List[FederatedQuestion]:
         """The open questions answerable at *peer_name*, oldest first."""
-        self.peer(peer_name)
-        questions = self._inboxes[peer_name]
+        questions = self.peer(peer_name).inbox
         if not questions:
             return []
         return [question for _, question in sorted(questions.items())]
@@ -698,47 +327,21 @@ class FederatedNetwork:
         executing peer as a :class:`QuestionAnswer` envelope (and are subject
         to the same delays and partitions as everything else).
         """
-        inbox = self._inboxes[self.peer(peer_name).name]
-        if question.key not in inbox:
+        peer = self.peer(peer_name)
+        if question.key not in peer.inbox:
             raise FederationError(
                 "question {} is not open at peer {!r}".format(question.key, peer_name)
             )
-        del inbox[question.key]
-        if question.executing_peer == peer_name:
-            peer = self.peer(peer_name)
-            try:
-                peer.service.answer(
-                    peer.gateway.session_id, question.decision_id, choice
-                )
-            except OracleError:
-                self._answers_dropped.inc()
-        else:
-            self._answers_routed.inc()
-            self.transport.send(
-                peer_name,
-                question.executing_peer,
-                QuestionAnswer(
-                    executing_peer=question.executing_peer,
-                    decision_id=question.decision_id,
-                    choice=choice,
-                    answered_by=peer_name,
-                    trace=question.trace,
-                ),
-            )
+        peer.answer(question.key, choice)
 
     # ------------------------------------------------------------------
     # Quiescence and draining
     # ------------------------------------------------------------------
     def quiescent(self) -> bool:
         """``True`` when no queue anywhere can produce further work."""
-        if self.transport.in_flight:
-            return False
-        for peer in self._peers.values():
-            if peer.outbox or self._staged.get(peer.name):
-                return False
-            if not peer.service.is_quiescent:
-                return False
-        return True
+        return not self.transport.in_flight and all(
+            peer.is_idle() for peer in self._peers.values()
+        )
 
     def watermark_quiescent(self) -> bool:
         """The conservation form of :meth:`quiescent`.
@@ -746,19 +349,14 @@ class FederatedNetwork:
         Same distributed condition, decided the way the socket federation's
         watermark drain decides it: per-directed-link send watermarks equal
         to their delivery watermarks (``sent - delivered`` is the queue
-        length, so conservation ⇔ nothing in flight) plus every peer idle
-        with nothing staged.  :meth:`run_until_quiescent` asserts this
-        agrees with :meth:`quiescent` on every round — a built-in
-        differential between the two formulations.
+        length, so conservation ⇔ nothing in flight) plus every peer idle.
+        :meth:`run_until_quiescent` asserts this agrees with
+        :meth:`quiescent` on every round — a built-in differential between
+        the two formulations.
         """
-        if not self.transport.watermarks_conserved():
-            return False
-        for peer in self._peers.values():
-            if peer.outbox or self._staged.get(peer.name):
-                return False
-            if not peer.service.is_quiescent:
-                return False
-        return True
+        return self.transport.watermarks_conserved() and all(
+            peer.is_idle() for peer in self._peers.values()
+        )
 
     def run_until_quiescent(
         self,

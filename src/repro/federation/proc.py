@@ -1,33 +1,37 @@
-"""The peer process: one federation peer behind a socket, in its own OS process.
+"""The socket driver: one federation peer behind a socket, in its own OS process.
 
 This is the other half of the multi-process federation (the coordinator side
 lives in :mod:`repro.federation.process_network`).  A :class:`PeerHost` is
-what runs *inside* each spawned process: it owns a full
-:class:`~repro.federation.peer.Peer` (service, store, scheduler, admission,
-inbox) built from a codec-JSON config file, listens on its socket address,
-and mirrors — deliberately, line for line — the delivery semantics of
-:meth:`repro.federation.network.FederatedNetwork._deliver_payload`, so that a
-drained socket federation is the *same* exchange protocol as the in-process
-one and the differential oracle applies.
+what runs *inside* each spawned process: it builds one
+:class:`~repro.federation.peer.Peer` — the same peer runtime the in-process
+:class:`~repro.federation.network.FederatedNetwork` drives — from a
+codec-JSON config file, listens on its socket address, and moves the peer's
+messages over sockets.  The exchange protocol itself (delivery, routing,
+question inbox, ticket mirroring, staging, idleness) is the peer's, so a
+drained socket federation runs the *same* protocol as the in-process one and
+the differential oracle applies.
 
 Two kinds of traffic cross the host's sockets, both as
 :mod:`repro.codec.framing` frames:
 
-* **envelope frames** between peers — the PR 5 wire codec *is* the protocol:
-  one frame wraps one ``encode_envelope`` document, and a per-destination
-  flush travels as a single frame carrying one
-  :class:`~repro.federation.transport.Bundle` (many payloads, one
+* **envelope frames** between peers — the wire codec *is* the protocol: one
+  frame wraps one ``encode_envelope`` document, and a per-destination flush
+  travels as a single frame carrying one
+  :class:`~repro.federation.envelopes.Bundle` (many payloads, one
   round-trip);
 * **control frames** between the coordinator and each peer — submissions,
   question answers, status polls, partition holds, checkpoint/halt and exit
-  — with events (ticket terminals, question opened/vanished) pushed back on
-  the same connection.
+  — with the peer's events (ticket terminals, question opened/gone) pushed
+  back on the same connection.
 
 The host is single-threaded and reactive: a ``selectors`` loop blocks on the
-sockets, and every wakeup runs deliveries, service pumps, question scans and
-outbox flushes to a fixpoint before sleeping again.  When the coordinator's
-connection closes — including because the coordinating process was killed —
-the host exits, which is what keeps test teardown free of orphan processes.
+sockets, and every wakeup steps the peer to a fixpoint and flushes the links
+before sleeping again.  Where it differs from the in-process driver, the
+host decides: a delivery or submission that admission refuses is retried
+locally (a remote client cannot back off), and a wakeup works until nothing
+moves instead of one round.  When the coordinator's connection closes —
+including because the coordinating process was killed — the host exits,
+which is what keeps test teardown free of orphan processes.
 
 The module doubles as the ``repro-peer`` console entry point::
 
@@ -52,43 +56,25 @@ from ..codec.wire import (
     CodecError,
     _decode_choice,
     decode_envelope,
-    decode_payload,
     decode_schema,
     decode_tgd,
     decode_tuple,
     decode_user_operation,
     dumps,
     encode_envelope,
-    encode_frontier_request,
-    encode_payload,
     encode_schema,
     encode_tgd,
     encode_tuple,
-    encode_user_operation,
     loads,
     payload_kind,
 )
-from ..core.oracle import OracleError
-from ..core.terms import NullFactory
-from ..core.update import DeleteOperation, InsertOperation
 from ..obs.flight import FlightRecorder
-from ..obs.trace import NOOP_TRACER, SpanContext, Tracer
+from ..obs.trace import NOOP_TRACER, Tracer
 from ..service.admission import AdmissionConfig, AdmissionError
-from ..service.repository import RepositoryService
-from ..service.tickets import RemoteOrigin
 from ..storage.memory import FrozenDatabase
-from .envelopes import (
-    CommitNotice,
-    ExchangeFiring,
-    ExchangeRetraction,
-    QuestionAnswer,
-    QuestionCancelled,
-    QuestionOpened,
-    RemoteUpdate,
-)
-from .exchange import ExchangeRules, FederationError, coalesce_envelopes
-from .operations import RemoteFiringOperation, RemoteRetractionOperation
-from .peer import Peer
+from .envelopes import Bundle
+from .exchange import ExchangeRules, FederationError
+from .peer import Peer, encode_question
 from .socket_transport import (
     ChannelClosed,
     FrameChannel,
@@ -96,10 +82,8 @@ from .socket_transport import (
     OutgoingLink,
     SocketAddress,
     SocketTransportError,
-    StagingWindow,
     monotonic,
 )
-from .transport import Bundle
 
 #: The reserved peer name the coordinator identifies itself with.
 COORDINATOR = "@coordinator"
@@ -153,7 +137,6 @@ def encode_peer_config(
     flight_dir: Optional[str] = None,
     flight_capacity: int = 512,
     stage_rounds: int = 1,
-    stage_bytes: int = 0,
     stage_delay: float = 0.0,
 ) -> bytes:
     """One peer's complete startup description, as canonical codec JSON.
@@ -194,7 +177,6 @@ def encode_peer_config(
         "flight_dir": flight_dir,
         "flight_capacity": flight_capacity,
         "stage_rounds": stage_rounds,
-        "stage_bytes": stage_bytes,
         "stage_delay": stage_delay,
     }
     return dumps(body) + b"\n"
@@ -204,7 +186,7 @@ def encode_peer_config(
 # The host
 # ----------------------------------------------------------------------
 class PeerHost:
-    """One peer's event loop: sockets in, chase in the middle, sockets out."""
+    """One peer's event loop: sockets in, the peer runtime, sockets out."""
 
     def __init__(self, config: Dict):
         if config.get("v") != WIRE_VERSION:
@@ -217,28 +199,20 @@ class PeerHost:
             raise CodecError("not a peer config")
         self.name = config["name"]
         self.schema = decode_schema(config["schema"])
-        mappings = [decode_tgd(body) for body in config["mappings"]]
-        self._ownership = {
-            peer: tuple(relations) for peer, relations in config["ownership"]
+        owner_of = {
+            relation: peer
+            for peer, relations in config["ownership"]
+            for relation in relations
         }
-        self.owner_of: Dict[str, str] = {}
-        for peer, relations in self._ownership.items():
-            for relation in relations:
-                self.owner_of[relation] = peer
-        self.rules = ExchangeRules(mappings, self.owner_of)
+        rules = ExchangeRules([decode_tgd(body) for body in config["mappings"]], owner_of)
         initial = FrozenDatabase(self.schema, {
             relation: frozenset(decode_tuple(body) for body in rows)
             for relation, rows in config["initial"].items()
         })
-        self._addresses = {
+        addresses = {
             peer: SocketAddress.from_body(body)
             for peer, body in config["addresses"].items()
         }
-        self._admission = decode_admission(config["admission"])
-        self._tracker = config["tracker"]
-        self._max_total_steps = config["max_total_steps"]
-        self._group_commit = config["group_commit"]
-        self._coalesce = config["coalesce"]
         self._trace_path = config.get("trace_path")
         if config.get("trace"):
             # One tracer per process, ids prefixed with the peer name so the
@@ -249,16 +223,15 @@ class PeerHost:
             # environment must not wire peer processes to *unprefixed*
             # process-local tracers whose ids would collide when merged.
             self.tracer = NOOP_TRACER
-        self._build_peer(initial, mappings, config.get("restore"))
 
         # -- sockets -----------------------------------------------------
-        self._listener = FrameListener(self._addresses[self.name])
+        self._listener = FrameListener(addresses[self.name])
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ, self._listener)
         link_delay = float(config.get("link_delay") or 0.0)
         reorder_seed = config.get("reorder_seed")
         self._links: Dict[str, OutgoingLink] = {}
-        for peer, address in self._addresses.items():
+        for peer, address in addresses.items():
             if peer == self.name:
                 continue
             rng = None
@@ -269,48 +242,45 @@ class PeerHost:
             self._links[peer] = OutgoingLink(
                 peer, address, delay=link_delay, rng=rng
             )
-        #: The adaptive envelope staging window (K pump rounds / B bytes /
-        #: T seconds, whichever trips first).  Default knobs make it a
-        #: passthrough: ``_stage_outbox`` keeps today's immediate-enqueue
-        #: path bit for bit.
-        self._staging = StagingWindow(
-            rounds=int(config.get("stage_rounds") or 1),
-            max_bytes=int(config.get("stage_bytes") or 0),
-            delay=float(config.get("stage_delay") or 0.0),
-        )
-        #: Scheduler pump rounds driven so far (the window's K clock).
-        self._pump_rounds = 0
         self._hello = encode_frame(
             FRAME_CONTROL, dumps({"t": "hello", "peer": self.name})
         )
         self._coordinator: Optional[FrameChannel] = None
         self._pending_events: List[bytes] = []
 
-        # -- bookkeeping -------------------------------------------------
+        # -- the peer ----------------------------------------------------
+        self.peer = Peer.build(
+            self.name,
+            rules,
+            initial,
+            send=self._enqueue_payload,
+            restore=config.get("restore"),
+            tracer=self.tracer,
+            coalesce=config["coalesce"],
+            stage_rounds=int(config.get("stage_rounds") or 1),
+            stage_delay=float(config.get("stage_delay") or 0.0),
+            tracker=config["tracker"],
+            admission=decode_admission(config["admission"]),
+            max_total_steps=config["max_total_steps"],
+            group_commit=config["group_commit"],
+        )
+        # Wire counters survive a restart: the coordinator's drain barrier
+        # compares every sender's frames_sent against this peer's
+        # frames_received, and a reborn peer restarting at zero could never
+        # catch up with a survivor's full history.
+        restored = self.peer.restored.get("host", {})
         #: Frames decoded per source peer (the drain accounting the
         #: coordinator compares with senders' ``frames_sent``).
-        self.frames_received: Dict[str, int] = {}
-        self.payloads_received = 0
-        #: Own federated inbox keys ``(executing_peer, decision_id)``.
-        self._inbox: Dict[Tuple[str, int], bool] = {}
-        #: Envelope deliveries deferred by a full admission queue.
-        self._retry: List[object] = []
-        #: Coordinator submissions deferred the same way (flood submission
-        #: must be loss-free: admission overflow is backpressure here, not a
-        #: client error, because the submitting client is a remote process).
-        self._submit_retry: List[Tuple[int, object]] = []
-        self.deliveries_deferred = 0
-        self.answers_dropped = 0
+        self.frames_received: Dict[str, int] = {
+            peer: int(count) for peer, count in restored.get("frames_received", ())
+        }
+        for peer, count in restored.get("frames_sent", ()):
+            if peer in self._links:
+                self._links[peer].frames_sent = int(count)
+        self.payloads_received = int(restored.get("payloads_received", 0))
         self._halted = False
         self._exit = False
-        #: Monotonic activity sequence: advances whenever this peer decodes
-        #: an envelope frame, pushes frames onto a socket, makes local chase
-        #: progress, or executes a coordinator submit/answer.  The
-        #: coordinator's watermark drain compares it across observations —
-        #: unchanged seq plus conserved per-link sent/received watermarks
-        #: means nothing was in flight in between.
-        self._activity_seq = 0
-        #: The activity seq the last went-idle push reported (-1 = never).
+        #: The peer activity seq the last went-idle push reported (-1 = never).
         self._idle_pushed_at = -1
 
         # -- telemetry + flight recorder --------------------------------
@@ -335,137 +305,16 @@ class PeerHost:
         #: How many tracer spans the flight recorder has already captured.
         self._flight_span_index = 0
         # Wire counters join the metrics registry as a producer: the full
-        # collect() the status path serves now includes them uniformly
-        # (keys: wire_frames_sent, wire_frames_received, ...), so new
-        # instruments cannot silently drop off the status path again.
+        # collect() the status path serves includes them uniformly (keys:
+        # wire_frames_sent, wire_frames_received, ...).
         self.peer.service.metrics.registry.register_producer(
             self._wire_metrics, prefix="wire_"
-        )
-
-    # ------------------------------------------------------------------
-    # Peer construction / restore
-    # ------------------------------------------------------------------
-    def _build_peer(self, initial, mappings, restore_path: Optional[str]) -> None:
-        local = self.rules.local_mappings(self.name)
-        #: fid -> local service ticket (operations executing here).
-        self._fed_local: Dict[int, object] = {}
-        #: fids already reported terminal to the coordinator.
-        self._fed_reported: set = set()
-        #: fid -> root span (or None) of operations routed *from* here.
-        self._fed_routed: Dict[int, object] = {}
-        if restore_path is None:
-            contents = {
-                relation: frozenset(initial.tuples(relation))
-                if self.owner_of[relation] == self.name
-                else frozenset()
-                for relation in self.schema.relation_names()
-            }
-            service = RepositoryService(
-                FrozenDatabase(self.schema, contents),
-                local,
-                tracker=self._tracker,
-                admission=self._admission,
-                max_total_steps=self._max_total_steps,
-                group_commit=self._group_commit,
-                tracer=self.tracer,
-                trace_peer=self.name,
-                null_factory=NullFactory.avoiding_view(
-                    initial, prefix="{}s".format(self.name)
-                ),
-            )
-            self.peer = Peer(
-                name=self.name,
-                service=service,
-                owned_relations=self._ownership[self.name],
-                rules=self.rules,
-                firing_factory=NullFactory.avoiding_view(
-                    initial, prefix="{}f".format(self.name)
-                ),
-                coalesce=self._coalesce,
-            )
-            return
-        # Restart-from-checkpoint: the same rebuild the in-process
-        # network's restart_peer performs, driven by the checkpoint file.
-        restored = RepositoryService.restore(
-            restore_path,
-            local,
-            tracker=self._tracker,
-            admission=self._admission,
-            max_total_steps=self._max_total_steps,
-            group_commit=self._group_commit,
-            tracer=self.tracer,
-            trace_peer=self.name,
-        )
-        extra = restored.extra
-        self.peer = Peer(
-            name=self.name,
-            service=restored.service,
-            owned_relations=self._ownership[self.name],
-            rules=self.rules,
-            firing_factory=NullFactory.from_state(extra["firing_factory"]),
-            coalesce=self._coalesce,
-        )
-        for old_ticket_id, origin_body in extra.get("notify", ()):
-            replacement = restored.resubmitted.get(old_ticket_id)
-            if replacement is not None:
-                self.peer.expect_notice(
-                    replacement.ticket_id,
-                    RemoteOrigin(origin_body["peer"], origin_body["ticket"]),
-                )
-        host_extra = extra.get("host", {})
-        for fid, old_ticket_id in host_extra.get("fed_local", ()):
-            replacement = restored.resubmitted.get(old_ticket_id)
-            if replacement is not None:
-                self._fed_local[int(fid)] = replacement
-            # Missing: the ticket finished before the checkpoint, and its
-            # terminal event preceded checkpoint-done on the old control
-            # connection (FIFO) — the coordinator already knows.
-        for fid in host_extra.get("fed_routed", ()):
-            self._fed_routed[int(fid)] = None
-        self._restore_inbox = [
-            (executing, int(decision))
-            for executing, decision in host_extra.get("inbox", ())
-        ]
-        self._restore_retry = [
-            decode_payload(body) for body in host_extra.get("retry", ())
-        ]
-        self._restore_submit_retry = [
-            (int(fid), decode_user_operation(body))
-            for fid, body in host_extra.get("submit_retry", ())
-        ]
-        # Wire counters must survive the restart: the coordinator's drain
-        # barrier compares every sender's frames_sent against this peer's
-        # frames_received, and a reborn peer restarting at zero could never
-        # catch up with a survivor's full history.
-        self._restore_frames_received = [
-            (peer, int(count))
-            for peer, count in host_extra.get("frames_received", ())
-        ]
-        self._restore_frames_sent = [
-            (peer, int(count))
-            for peer, count in host_extra.get("frames_sent", ())
-        ]
-        self._restore_payloads_received = int(
-            host_extra.get("payloads_received", 0)
         )
 
     # ------------------------------------------------------------------
     # The loop
     # ------------------------------------------------------------------
     def run(self) -> None:
-        # Deliveries the checkpoint caught in the deferred-retry queue.
-        for payload in getattr(self, "_restore_retry", ()):
-            self._retry.append(payload)
-        for entry in getattr(self, "_restore_submit_retry", ()):
-            self._submit_retry.append(entry)
-        for key in getattr(self, "_restore_inbox", ()):
-            self._inbox[tuple(key)] = True
-        for peer, count in getattr(self, "_restore_frames_received", ()):
-            self.frames_received[peer] = count
-        for peer, count in getattr(self, "_restore_frames_sent", ()):
-            if peer in self._links:
-                self._links[peer].frames_sent = count
-        self.payloads_received += getattr(self, "_restore_payloads_received", 0)
         try:
             # SIGTERM (the coordinator's terminate escalation, or an operator)
             # must leave a postmortem: the handler raises so a select blocked
@@ -483,7 +332,6 @@ class PeerHost:
                         self._read_channel(ready)
                 if not self._halted:
                     self._work()
-                    self._flush_staged()
                     self._flush()
                 # Heartbeats keep beating while halted: a frozen-for-kill
                 # peer is still alive, and the watchdog should know.
@@ -514,15 +362,15 @@ class PeerHost:
                 for link in self._links.values()
                 if link.next_due() is not None
             )
-            if self._retry or self._submit_retry:
+            if self.peer.retry or self.peer.submit_retry:
                 # Admission frees on commits; retry shortly even without input.
                 due.append(monotonic() + 0.01)
-            if self._staging.staged_count():
-                deadline = self._staging.next_deadline()
+            if self.peer.staging.staged_count():
+                deadline = self.peer.staging.next_deadline()
                 if deadline is not None:
                     due.append(deadline)
                 else:
-                    # Round/byte-triggered windows need pump rounds to keep
+                    # Round-triggered windows need work rounds to keep
                     # advancing while the sockets are silent, or a staged
                     # batch could sit forever.
                     due.append(monotonic() + 0.002)
@@ -555,11 +403,7 @@ class PeerHost:
             else:
                 self._handle_envelope(channel.label, frame.payload)
 
-    # ------------------------------------------------------------------
-    # Envelope delivery (mirrors FederatedNetwork._deliver_payload)
-    # ------------------------------------------------------------------
     def _handle_envelope(self, source: str, payload_bytes: bytes) -> None:
-        self._activity_seq += 1
         self.frames_received[source] = self.frames_received.get(source, 0) + 1
         if self.tracer.enabled:
             before = self.tracer.clock()
@@ -584,106 +428,17 @@ class PeerHost:
                 )
         else:
             payload = decode_envelope(payload_bytes)
-        if isinstance(payload, Bundle):
-            self.payloads_received += len(payload)
-            for inner in payload.payloads:
-                self._deliver_payload(inner)
-        else:
-            self.payloads_received += 1
-            self._deliver_payload(payload)
-
-    def _deliver_payload(self, payload: object) -> None:
-        if isinstance(payload, (RemoteUpdate, ExchangeFiring, ExchangeRetraction)):
-            admitted = self._submit_delivery(payload)
-            if self.flight.enabled:
-                self.flight.record(
-                    "delivery",
-                    payload=payload_kind(payload),
-                    origin=payload.origin.peer,
-                    deferred=not admitted,
-                )
-            if not admitted:
-                # Bounded admission queue is full: defer and retry on a
-                # later work round (backpressure, never loss).
-                self._retry.append(payload)
-                self.deliveries_deferred += 1
-        elif isinstance(payload, QuestionOpened):
-            key = (payload.executing_peer, payload.decision_id)
-            self._inbox[key] = True
+        self.payloads_received += len(payload) if isinstance(payload, Bundle) else 1
+        refused = self.peer.deliver(payload)
+        # A full admission queue defers, never loses: the peer retries the
+        # refused payloads on later work rounds.
+        self.peer.retry.extend(refused)
+        if self.flight.enabled:
             self.flight.record(
-                "question",
-                executing=payload.executing_peer,
-                decision=payload.decision_id,
+                "delivery", source=source, payload=payload_kind(payload),
+                deferred=len(refused),
             )
-            self._event({
-                "t": "question",
-                "executing": payload.executing_peer,
-                "decision": payload.decision_id,
-                "inbox": self.name,
-                "request": encode_frontier_request(payload.request),
-                "origin": {
-                    "peer": payload.origin.peer,
-                    "ticket": payload.origin.ticket_id,
-                },
-                "desc": payload.ticket_description,
-                "tr": _encode_trace(payload.trace),
-            })
-        elif isinstance(payload, QuestionCancelled):
-            key = (payload.executing_peer, payload.decision_id)
-            if self._inbox.pop(key, None) is not None:
-                self._event({
-                    "t": "question-gone",
-                    "executing": payload.executing_peer,
-                    "decision": payload.decision_id,
-                    "inbox": self.name,
-                })
-        elif isinstance(payload, QuestionAnswer):
-            try:
-                self.peer.service.answer(
-                    self.peer.gateway.session_id, payload.decision_id, payload.choice
-                )
-                self.peer.mark_answered(payload.decision_id)
-            except OracleError:
-                # The asking update aborted while the answer was in flight;
-                # the restart will ask afresh.
-                self.answers_dropped += 1
-        elif isinstance(payload, CommitNotice):
-            fid = payload.origin.ticket_id
-            span = self._fed_routed.pop(fid, False)
-            if span is not False:
-                if span is not None:
-                    self.tracer.end_span(span, status=payload.status.value)
-                self.flight.record(
-                    "notice", fid=fid, status=payload.status.value
-                )
-                self._event({
-                    "t": "ticket", "fid": fid, "status": payload.status.value,
-                })
-        else:  # pragma: no cover - the payload union is closed
-            raise FederationError("undeliverable payload {!r}".format(payload))
-
-    def _submit_delivery(self, payload: object) -> bool:
-        """Re-submit one update-bearing payload; False when admission is full."""
-        if isinstance(payload, RemoteUpdate):
-            operation = payload.operation
-        elif isinstance(payload, ExchangeFiring):
-            operation = RemoteFiringOperation(
-                payload.tgd, payload.assignment(), payload.head_rows
-            )
-        else:
-            operation = RemoteRetractionOperation(payload.tgd, payload.assignment())
-        try:
-            ticket = self.peer.service.submit(
-                self.peer.gateway.session_id,
-                operation,
-                origin=payload.origin,
-                trace=payload.trace,
-            )
-        except AdmissionError:
-            return False
-        if isinstance(payload, RemoteUpdate):
-            self.peer.expect_notice(ticket.ticket_id, payload.origin)
-        return True
+        self._forward_events()
 
     # ------------------------------------------------------------------
     # Control handling
@@ -702,9 +457,23 @@ class PeerHost:
                 for frame in pending:
                     self._send_event_frame(frame)
         elif kind == "submit":
-            self._handle_submit(int(body["fid"]), decode_user_operation(body["op"]))
+            fid = int(body["fid"])
+            operation = decode_user_operation(body["op"])
+            try:
+                self.peer.submit(fid, operation)
+            except AdmissionError:
+                # Flood submission must be loss-free: the submitting client
+                # is a remote process, so admission overflow is backpressure
+                # here, not a client error.
+                self.peer.submit_retry.append((fid, operation))
         elif kind == "answer":
-            self._handle_answer(body)
+            # A question cancelled while this answer was in flight counts as
+            # a dropped answer inside the peer: a real federation must
+            # tolerate the race the in-process driver cannot have.
+            self.peer.answer(
+                (body["executing"], int(body["decision"])),
+                _decode_choice(body["choice"]),
+            )
         elif kind == "status":
             self._send_control(channel, self._status_reply(body.get("round", 0)))
         elif kind == "hold":
@@ -718,9 +487,7 @@ class PeerHost:
             # at-least-once.
             self._links[body["peer"]].reset()
         elif kind == "drop-questions":
-            executing = body["executing"]
-            for key in [key for key in self._inbox if key[0] == executing]:
-                del self._inbox[key]
+            self.peer.drop_questions(body["executing"])
         elif kind == "checkpoint":
             self._handle_checkpoint(channel, body)
         elif kind == "snapshot":
@@ -741,94 +508,15 @@ class PeerHost:
         else:
             raise FederationError("unknown control message {!r}".format(kind))
 
-    def _handle_submit(self, fid: int, operation) -> None:
-        self._activity_seq += 1
-        if isinstance(operation, (InsertOperation, DeleteOperation)):
-            target = self.owner_of[operation.row.relation]
-        else:
-            target = self.name
-        if target == self.name:
-            try:
-                self._fed_local[fid] = self.peer.service.submit(
-                    self.peer.gateway.session_id, operation
-                )
-            except AdmissionError:
-                self._submit_retry.append((fid, operation))
-            return
-        trace = None
-        span = None
-        if self.tracer.enabled:
-            # Routed submissions root their trace at the origin peer, like
-            # FederatedNetwork.submit; the root closes on the commit notice.
-            span = self.tracer.start_span(
-                "update",
-                peer=self.name,
-                kind="user",
-                op_type=type(operation).__name__,
-                op=operation.describe(),
-                ticket=fid,
-                routed_to=target,
-            )
-            trace = span.context
-        self._fed_routed[fid] = span
-        self._enqueue_payload(target, RemoteUpdate(
-            operation=operation,
-            origin=RemoteOrigin(self.name, fid),
-            trace=trace,
-        ))
-
-    def _handle_answer(self, body: Dict) -> None:
-        self._activity_seq += 1
-        executing = body["executing"]
-        decision = int(body["decision"])
-        key = (executing, decision)
-        if self._inbox.pop(key, None) is None:
-            # Cancelled (or already answered) while the coordinator's answer
-            # was in flight — the in-process equivalent cannot race here, a
-            # real federation must tolerate it.
-            self.answers_dropped += 1
-            return
-        choice = _decode_choice(body["choice"])
-        if executing == self.name:
-            # A locally-executing question: answer straight into the service
-            # (no mark_answered — that is only for answers that arrived as
-            # envelopes, mirroring FederatedNetwork.answer's local path).
-            try:
-                self.peer.service.answer(
-                    self.peer.gateway.session_id, decision, choice
-                )
-            except OracleError:
-                self.answers_dropped += 1
-            return
-        self._enqueue_payload(executing, QuestionAnswer(
-            executing_peer=executing,
-            decision_id=decision,
-            choice=choice,
-            answered_by=self.name,
-            trace=_decode_trace(body.get("tr")),
-        ))
-
     def _handle_checkpoint(self, channel: FrameChannel, body: Dict) -> None:
         # Reach a local fixpoint, then push every queued frame out regardless
         # of simulated link delay or an open staging window: the frames'
         # contents are already decided, and a checkpoint must not strand
         # them in a dying process.
         self._work()
-        self._flush_staged(force=True)
+        self.peer.flush(force=True)
         self._flush(force=True)
         host_extra = {
-            "fed_local": sorted(
-                [fid, ticket.ticket_id]
-                for fid, ticket in self._fed_local.items()
-                if not ticket.is_done
-            ),
-            "fed_routed": sorted(self._fed_routed),
-            "inbox": sorted([executing, decision] for executing, decision in self._inbox),
-            "retry": [encode_payload(payload) for payload in self._retry],
-            "submit_retry": sorted(
-                [fid, encode_user_operation(operation)]
-                for fid, operation in self._submit_retry
-            ),
             # Exact at checkpoint time: every link toward this peer is held
             # and this peer is caught up (coordinator's checkpoint protocol),
             # so the counters restored from here continue the same streams.
@@ -840,155 +528,52 @@ class PeerHost:
         }
         self.peer.checkpoint(body["path"], extra={"host": host_extra})
         if body.get("halt"):
-            # Freeze: no more pumps or flushes — the coordinator is about to
+            # Freeze: no more work or flushes — the coordinator is about to
             # kill this process, and work done after the checkpoint would
             # fork the state the reborn peer restores.
             self._halted = True
         self._send_control(channel, {"t": "checkpoint-done", "path": body["path"]})
 
     # ------------------------------------------------------------------
-    # The work fixpoint
+    # Work, events and the links
     # ------------------------------------------------------------------
     def _work(self) -> None:
+        """Step the peer until a round makes no progress."""
         while True:
-            self._pump_rounds += 1
-            progress = False
-            if self._retry:
-                pending, self._retry = self._retry, []
-                for payload in pending:
-                    if not self._submit_delivery(payload):
-                        self._retry.append(payload)
-                if len(self._retry) != len(pending):
-                    progress = True
-            if self._submit_retry:
-                pending_submits, self._submit_retry = self._submit_retry, []
-                for fid, operation in pending_submits:
-                    try:
-                        self._fed_local[fid] = self.peer.service.submit(
-                            self.peer.gateway.session_id, operation
-                        )
-                        progress = True
-                    except AdmissionError:
-                        self._submit_retry.append((fid, operation))
-            report = self.peer.service.pump()
-            if report.steps or report.admitted or report.committed:
-                progress = True
-            opened_local, vanished = self.peer.scan_questions()
-            for question in opened_local:
-                key = (self.name, question.decision_id)
-                self._inbox[key] = True
-                context = question.ticket.trace_context
-                self._event({
-                    "t": "question",
-                    "executing": self.name,
-                    "decision": question.decision_id,
-                    "inbox": self.name,
-                    "request": encode_frontier_request(question.request),
-                    "origin": {
-                        "peer": self.name,
-                        "ticket": question.ticket.ticket_id,
-                    },
-                    "desc": question.ticket.describe(),
-                    "tr": _encode_trace(context),
-                })
-            for decision_id in vanished:
-                key = (self.name, decision_id)
-                if self._inbox.pop(key, None) is not None:
-                    self._event({
-                        "t": "question-gone",
-                        "executing": self.name,
-                        "decision": decision_id,
-                        "inbox": self.name,
-                    })
-            self.peer.scan_failures()
-            self._mirror_tickets()
-            if opened_local or vanished:
-                progress = True
-            if self.peer.outbox:
-                self._stage_outbox()
-                progress = True
-            if not progress:
+            before = self.peer.activity_seq
+            self.peer.step()
+            self._forward_events()
+            if self.peer.activity_seq == before:
                 return
-            self._activity_seq += 1
 
-    def _mirror_tickets(self) -> None:
-        for fid, ticket in self._fed_local.items():
-            if fid in self._fed_reported or not ticket.is_done:
-                continue
-            self._fed_reported.add(fid)
-            self.flight.record(
-                "ticket", fid=fid, status=ticket.status.value
-            )
-            self._event({"t": "ticket", "fid": fid, "status": ticket.status.value})
-
-    def _stage_outbox(self) -> None:
-        if not self._staging.passthrough:
-            # A real window is open: payloads park per-destination and wait
-            # for a K/B/T trigger in _flush_staged.  Byte sizing re-encodes
-            # the payload (the flush encodes again) — acceptable for an
-            # off-by-default knob, and only when B > 0.
-            now = monotonic()
-            for destination, payload in self.peer.outbox:
-                size = 0
-                if self._staging.max_bytes:
-                    size = len(encode_envelope(payload))
-                self._staging.stage(
-                    destination, payload, self._pump_rounds, now, size=size
+    def _forward_events(self) -> None:
+        """Push the peer's reported outcomes to the coordinator, in order."""
+        for event in self.peer.take_events():
+            if event[0] == "question":
+                question = event[1]
+                body = encode_question(question)
+                body.update(t="question", inbox=self.name)
+                self.flight.record(
+                    "question",
+                    executing=question.executing_peer,
+                    decision=question.decision_id,
                 )
-            self.peer.outbox.clear()
-            return
-        order: List[str] = []
-        by_destination: Dict[str, List[object]] = {}
-        for destination, payload in self.peer.outbox:
-            if destination not in by_destination:
-                order.append(destination)
-                by_destination[destination] = []
-            by_destination[destination].append(payload)
-        self.peer.outbox.clear()
-        for destination in order:
-            self._enqueue_batch(destination, by_destination[destination])
-
-    def _flush_staged(self, force: bool = False) -> None:
-        """Release staged batches whose window tripped (all of them, forced).
-
-        The PR 4 coalescer runs over each released batch: the window's whole
-        point is that payloads from *different* commits can now cancel/dedup
-        before framing, which per-commit coalescing in the peer cannot see.
-        """
-        if not self._staging.staged_count():
-            return
-        now = monotonic()
-        for destination in self._staging.due(self._pump_rounds, now, force=force):
-            batch = self._staging.take(destination)
-            if not batch:
-                continue
-            if self._coalesce and len(batch) > 1:
-                pairs = coalesce_envelopes(
-                    [(destination, payload) for payload in batch]
-                )
-                self.peer.envelopes_coalesced += len(batch) - len(pairs)
-                batch = [payload for _, payload in pairs]
-            self._enqueue_batch(destination, batch)
-
-    def _enqueue_batch(self, destination: str, batch: List[object]) -> None:
-        if len(batch) == 1 or not self._coalesce:
-            for payload in batch:
-                self._enqueue_payload(destination, payload)
-        else:
-            trace = None
-            for payload in batch:
-                trace = getattr(payload, "trace", None)
-                if trace is not None:
-                    break
-            self._enqueue_payload(
-                destination, Bundle(tuple(batch), trace=trace)
-            )
+            elif event[0] == "question-gone":
+                executing, decision = event[1]
+                body = {
+                    "t": "question-gone",
+                    "executing": executing,
+                    "decision": decision,
+                    "inbox": self.name,
+                }
+            else:
+                _, fid, status = event
+                body = {"t": "ticket", "fid": fid, "status": status.value}
+                self.flight.record("ticket", fid=fid, status=status.value)
+            self._event(body)
 
     def _enqueue_payload(self, destination: str, payload: object) -> None:
-        if destination == self.name:  # pragma: no cover - rules never stage this
-            raise FederationError("peer {} staged an envelope to itself".format(
-                self.name
-            ))
+        """The peer's ``send``: encode one message onto its outgoing link."""
         if self.tracer.enabled:
             before = self.tracer.clock()
             encoded = encode_envelope(payload)
@@ -1019,7 +604,8 @@ class PeerHost:
         for link in self._links.values():
             link.flush(now, hello=self._hello)
         if sum(link.frames_sent for link in self._links.values()) != before:
-            self._activity_seq += 1
+            # Frames moving onto sockets is activity the drain must see.
+            self.peer.activity_seq += 1
 
     # ------------------------------------------------------------------
     # Telemetry and the flight recorder
@@ -1032,10 +618,10 @@ class PeerHost:
             ),
             "frames_received": sum(self.frames_received.values()),
             "payloads_received": self.payloads_received,
-            "deliveries_deferred": self.deliveries_deferred,
-            "answers_dropped": self.answers_dropped,
-            "payloads_staged": self._staging.payloads_staged,
-            "staged_flushes": self._staging.flushed_batches,
+            "deliveries_deferred": self.peer.deliveries_deferred,
+            "answers_dropped": self.peer.answers_dropped,
+            "payloads_staged": self.peer.staging.payloads_staged,
+            "staged_flushes": self.peer.staging.flushed_batches,
         }
 
     def _telemetry_tick(self) -> None:
@@ -1088,14 +674,9 @@ class PeerHost:
         return body
 
     def _is_idle(self) -> bool:
-        """The cheap no-snapshot quiescence check the idle push gates on."""
-        return (
-            self.peer.service.is_quiescent
-            and not self.peer.outbox
-            and not self._staging.staged_count()
-            and not any(link.queued for link in self._links.values())
-            and not self._retry
-            and not self._submit_retry
+        """The peer is idle and every outgoing link has drained."""
+        return self.peer.is_idle() and not any(
+            link.queued for link in self._links.values()
         )
 
     def _idle_push(self) -> None:
@@ -1112,11 +693,11 @@ class PeerHost:
         """
         if self._coordinator is None or self._coordinator.closed:
             return
-        if self._activity_seq == self._idle_pushed_at:
+        if self.peer.activity_seq == self._idle_pushed_at:
             return
         if self._halted or not self._is_idle():
             return
-        self._idle_pushed_at = self._activity_seq
+        self._idle_pushed_at = self.peer.activity_seq
         self._telemetry_seq += 1
         # Same discipline as the periodic heartbeat: the flight ring syncs
         # to disk *before* the frame goes out, so anything the coordinator
@@ -1177,38 +758,28 @@ class PeerHost:
             pass
 
     def _status_reply(self, round_number: int) -> Dict:
-        outbox = len(self.peer.outbox)
-        staged = self._staging.staged_count()
-        queued = sum(link.queued for link in self._links.values())
-        snapshot = self.peer.service.metrics_snapshot()
-        quiescent = (
-            self.peer.service.is_quiescent
-            and not outbox
-            and not staged
-            and not queued
-            and not self._retry
-            and not self._submit_retry
-        )
+        peer = self.peer
+        snapshot = peer.service.metrics_snapshot()
         return {
             "t": "status-reply",
             "round": round_number,
             "peer": self.name,
-            "quiescent": quiescent,
+            "quiescent": self._is_idle(),
             "halted": self._halted,
-            "outbox": outbox,
-            "staged": staged,
-            "queued": queued,
-            "activity_seq": self._activity_seq,
-            "retry": len(self._retry) + len(self._submit_retry),
+            "outbox": len(peer.outbox),
+            "staged": peer.staging.staged_count(),
+            "queued": sum(link.queued for link in self._links.values()),
+            "activity_seq": peer.activity_seq,
+            "retry": len(peer.retry) + len(peer.submit_retry),
             "held": sorted(
-                peer for peer, link in self._links.items() if link.held
+                name for name, link in self._links.items() if link.held
             ),
             "sent": {
-                peer: link.frames_sent for peer, link in self._links.items()
+                name: link.frames_sent for name, link in self._links.items()
             },
             "received": dict(self.frames_received),
             "payloads_received": self.payloads_received,
-            "open_questions": len(self._inbox),
+            "open_questions": len(peer.inbox),
             "committed": snapshot["committed"],
             # The *full* registry collect, not a hand-kept key list: every
             # registered instrument and producer (service counters, store
@@ -1216,12 +787,12 @@ class PeerHost:
             # path uniformly.  tests/federation/test_telemetry.py pins the
             # shape so a new instrument cannot silently drop off again.
             "metrics": snapshot,
-            "deliveries_deferred": self.deliveries_deferred,
-            "answers_dropped": self.answers_dropped,
-            "firings_emitted": self.peer.firings_emitted,
-            "retractions_emitted": self.peer.retractions_emitted,
-            "notices_emitted": self.peer.notices_emitted,
-            "envelopes_coalesced": self.peer.envelopes_coalesced,
+            "deliveries_deferred": peer.deliveries_deferred,
+            "answers_dropped": peer.answers_dropped,
+            "firings_emitted": peer.firings_emitted,
+            "retractions_emitted": peer.retractions_emitted,
+            "notices_emitted": peer.notices_emitted,
+            "envelopes_coalesced": peer.envelopes_coalesced,
         }
 
     def _shutdown(self) -> None:
@@ -1241,21 +812,6 @@ class PeerHost:
                 ready.close()
         self._selector.close()
         self._listener.close()
-
-
-# ----------------------------------------------------------------------
-# Control-body trace contexts (same shape as the codec's "tr" field)
-# ----------------------------------------------------------------------
-def _encode_trace(context: Optional[SpanContext]) -> Optional[Dict[str, str]]:
-    if context is None:
-        return None
-    return {"ti": context.trace_id, "si": context.span_id}
-
-
-def _decode_trace(body: Optional[Dict[str, str]]) -> Optional[SpanContext]:
-    if body is None:
-        return None
-    return SpanContext(trace_id=body["ti"], span_id=body["si"])
 
 
 # ----------------------------------------------------------------------

@@ -4,13 +4,16 @@
 :class:`~repro.federation.network.FederatedNetwork`: the same schema /
 initial-state / mappings / ownership description, but every peer runs as its
 own OS process (spawned from the ``repro-peer`` entry point in
-:mod:`repro.federation.proc`) and the peers exchange envelopes directly over
-TCP or Unix-domain sockets, one :mod:`repro.codec.framing` frame per
-per-destination bundle.  The coordinator never touches an envelope: it only
-speaks the control protocol — submissions in, ticket/question events out,
-status polls for the drain barrier — so the exchange protocol on the peer
-links is exactly the wire codec the in-process transport already speaks, and
-the in-process federation stays available as the differential oracle.
+:mod:`repro.federation.proc`, whose host drives the same
+:class:`~repro.federation.peer.Peer` runtime the in-process network does)
+and the peers exchange envelopes directly over TCP or Unix-domain sockets,
+one :mod:`repro.codec.framing` frame per per-destination bundle.  The
+coordinator never touches an envelope: it only speaks the control protocol —
+submissions in, ticket/question events out, status polls for the drain
+barrier — so the exchange protocol on the peer links is exactly the wire
+codec the in-process transport already speaks, and the in-process federation
+stays available as the differential oracle.  Ownership validation, routing
+and the question encoding are the peer module's own.
 
 The public surface intentionally shadows the in-process network where the
 concept carries over: ``submit`` / ``ticket`` / ``inbox`` / ``answer`` /
@@ -43,21 +46,14 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..codec.framing import FRAME_CONTROL
-from ..codec.wire import (
-    _encode_choice,
-    decode_frontier_request,
-    decode_tuple,
-    dumps,
-    encode_user_operation,
-    loads,
-)
-from ..core.update import DeleteOperation, InsertOperation, UserOperation
-from ..service.tickets import RemoteOrigin, TicketStatus
+from ..codec.wire import _encode_choice, decode_tuple, dumps, encode_user_operation, loads
+from ..core.update import UserOperation
+from ..obs.timeline import TelemetryTimeline
+from ..service.tickets import TicketStatus
 from ..storage.memory import FrozenDatabase
 from .exchange import FederationError
-from .network import AnswerStrategy, FederatedQuestion
-from ..obs.timeline import TelemetryTimeline
-from ..obs.trace import SpanContext
+from .network import AnswerStrategy
+from .peer import FederatedQuestion, _route, decode_question, validate_ownership
 from .proc import COORDINATOR, encode_peer_config
 from .socket_transport import ChannelClosed, FrameChannel, SocketAddress
 
@@ -144,9 +140,7 @@ class ProcessFederation:
         flight: bool = True,
         flight_dir: Optional[str] = None,
         stage_rounds: int = 1,
-        stage_bytes: int = 0,
         stage_delay: float = 0.0,
-        drain_mode: Optional[str] = None,
     ):
         self.schema = schema
         self._initial = initial
@@ -154,28 +148,7 @@ class ProcessFederation:
         self._ownership = {
             name: tuple(relations) for name, relations in ownership.items()
         }
-        owner_of: Dict[str, str] = {}
-        for peer_name, relations in self._ownership.items():
-            for relation in relations:
-                if relation not in schema:
-                    raise FederationError(
-                        "peer {!r} claims unknown relation {!r}".format(
-                            peer_name, relation
-                        )
-                    )
-                if relation in owner_of:
-                    raise FederationError(
-                        "relation {!r} claimed by both {!r} and {!r}".format(
-                            relation, owner_of[relation], peer_name
-                        )
-                    )
-                owner_of[relation] = peer_name
-        unowned = [name for name in schema.relation_names() if name not in owner_of]
-        if unowned:
-            raise FederationError(
-                "no peer owns relation(s) {}".format(sorted(unowned))
-            )
-        self.owner_of = owner_of
+        self.owner_of = validate_ownership(schema, self._ownership)
         self._tracker = tracker
         self._admission = admission
         self._max_total_steps = max_total_steps
@@ -191,10 +164,7 @@ class ProcessFederation:
         self._startup_timeout = startup_timeout
         # -- send-side staging window + drain protocol -------------------
         self._stage_rounds = int(stage_rounds)
-        self._stage_bytes = int(stage_bytes)
         self._stage_delay = float(stage_delay)
-        #: Default drain protocol (None = env REPRO_DRAIN, else watermark).
-        self._drain_mode = drain_mode
         self._owns_workdir = workdir is None
         self.workdir = workdir or tempfile.mkdtemp(prefix="repro-fed-")
         os.makedirs(self.workdir, exist_ok=True)
@@ -324,7 +294,6 @@ class ProcessFederation:
             telemetry_interval=self._telemetry_interval,
             flight_dir=self._flight_dir,
             stage_rounds=self._stage_rounds,
-            stage_bytes=self._stage_bytes,
             stage_delay=self._stage_delay,
         )
         config_path = os.path.join(self.workdir, "peer-{}.json".format(name))
@@ -397,7 +366,14 @@ class ProcessFederation:
             pass
 
     def _observe_telemetry(self, peer: str, body: Dict, kind: str) -> None:
-        if "activity_seq" in body:
+        current = self._watermarks.get(peer)
+        if "activity_seq" in body and (
+            current is None or body["activity_seq"] >= current["activity_seq"]
+        ):
+            # Never step a view back: a status reply parked while awaiting
+            # another peer is observed after pushes that followed it on the
+            # same channel, and a peer that already pushed its went-idle
+            # view stays silent — a stale view would stall the drain.
             self._watermarks[peer] = body
         self.timeline.observe(peer, body, kind=kind)
         self._spool({
@@ -459,16 +435,7 @@ class ProcessFederation:
             if ticket is not None and not ticket.is_done:
                 ticket.status = TicketStatus(body["status"])
         elif kind == "question":
-            question = FederatedQuestion(
-                executing_peer=body["executing"],
-                decision_id=int(body["decision"]),
-                request=decode_frontier_request(body["request"]),
-                origin=RemoteOrigin(
-                    body["origin"]["peer"], body["origin"]["ticket"]
-                ),
-                description=body["desc"],
-                trace=_decode_trace(body.get("tr")),
-            )
+            question = decode_question(body)
             self._inboxes[body["inbox"]][question.key] = question
         elif kind == "question-gone":
             self._inboxes[body["inbox"]].pop(
@@ -508,11 +475,6 @@ class ProcessFederation:
     def peer_names(self) -> List[str]:
         return list(self._ownership)
 
-    def _route(self, peer_name: str, operation: UserOperation) -> str:
-        if isinstance(operation, (InsertOperation, DeleteOperation)):
-            return self.owner_of[operation.row.relation]
-        return peer_name
-
     def submit(self, peer_name: str, operation: UserOperation) -> ProcessTicket:
         """Submit a user operation at *peer_name* (asynchronous: the ticket
         reaches a terminal status when the peer's event says so)."""
@@ -521,7 +483,7 @@ class ProcessFederation:
         ticket = ProcessTicket(
             fid=self._next_fid,
             peer=peer_name,
-            target=self._route(peer_name, operation),
+            target=_route(self.owner_of, peer_name, operation),
             operation=operation,
         )
         self._next_fid += 1
@@ -566,7 +528,6 @@ class ProcessFederation:
             "executing": question.executing_peer,
             "decision": question.decision_id,
             "choice": _encode_choice(choice),
-            "tr": _encode_trace(question.trace),
         })
 
     # ------------------------------------------------------------------
@@ -629,9 +590,8 @@ class ProcessFederation:
     ) -> int:
         """Poll, answer, and wait until the federation is drained.
 
-        Two protocols decide the same distributed condition; *mode* (then
-        the constructor's ``drain_mode``, then ``REPRO_DRAIN``, default
-        ``watermark``) picks which one runs:
+        Two protocols decide the same distributed condition; *mode* (else
+        ``REPRO_DRAIN``, default ``watermark``) picks which one runs:
 
         * ``watermark`` — conservation-based, event-driven.  Peers push an
           unsolicited went-idle status delta the moment they settle; the
@@ -651,12 +611,7 @@ class ProcessFederation:
         settle reason, mode, time-to-idle) on ``self.last_drain`` and the
         telemetry timeline's ``drains`` list.
         """
-        mode = (
-            mode
-            or self._drain_mode
-            or os.environ.get("REPRO_DRAIN")
-            or "watermark"
-        )
+        mode = mode or os.environ.get("REPRO_DRAIN") or "watermark"
         if mode not in ("watermark", "poll"):
             raise ProcessFederationError(
                 "unknown drain mode {!r} (use 'watermark' or 'poll')".format(mode)
@@ -1156,14 +1111,3 @@ class ProcessFederation:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-
-def _encode_trace(context: Optional[SpanContext]) -> Optional[Dict[str, str]]:
-    if context is None:
-        return None
-    return {"ti": context.trace_id, "si": context.span_id}
-
-
-def _decode_trace(body: Optional[Dict[str, str]]) -> Optional[SpanContext]:
-    if body is None:
-        return None
-    return SpanContext(trace_id=body["ti"], span_id=body["si"])

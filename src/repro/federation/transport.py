@@ -26,33 +26,12 @@ import itertools
 import os
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple as PyTuple
+from dataclasses import dataclass, replace
+from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple as PyTuple
 
 from ..codec.wire import decode_envelope, encode_envelope, payload_kind
-from ..obs.trace import Span, SpanContext, default_tracer
-
-
-@dataclass(frozen=True)
-class Bundle:
-    """Several payloads travelling as one envelope (a per-destination flush).
-
-    The transport treats the bundle as a single message — one queue slot, one
-    delivery, one delay — which is exactly the point: a commit batch's worth
-    of exchange envelopes to the same destination pays the per-message fixed
-    costs once.  Receivers unpack and process the payloads in order, so a
-    bundle is semantically identical to sending its payloads back-to-back on
-    a FIFO link (and *stronger* under reordering: the bundle cannot be
-    interleaved).
-    """
-
-    payloads: PyTuple[object, ...]
-    #: Trace context of the first traced member (``None`` when tracing is
-    #: off); ``compare=False`` keeps bundle equality content-only.
-    trace: Optional[SpanContext] = field(default=None, compare=False)
-
-    def __len__(self) -> int:
-        return len(self.payloads)
+from ..obs.trace import Span, default_tracer
+from .envelopes import Bundle
 
 
 @dataclass(frozen=True)
@@ -215,7 +194,11 @@ class Transport:
         self.sent += 1
         link = (source, destination)
         self.link_sent[link] = self.link_sent.get(link, 0) + 1
-        self.payloads_sent += len(payload) if isinstance(payload, Bundle) else 1
+        if isinstance(payload, Bundle):
+            self.bundles_sent += 1
+            self.payloads_sent += len(payload)
+        else:
+            self.payloads_sent += 1
         if self.tracer.enabled:
             context = getattr(payload, "trace", None)
             if context is not None:
@@ -230,32 +213,6 @@ class Transport:
                     encode_seconds=encode_seconds,
                 )
         return envelope
-
-    def send_bundle(
-        self, source: str, destination: str, payloads: Iterable[object]
-    ) -> Optional[Envelope]:
-        """Flush *payloads* to one destination as a single bundled envelope.
-
-        An empty iterable sends nothing; a single payload is sent bare (no
-        bundle wrapper to unpack); several payloads travel as one
-        :class:`Bundle`.  Returns the envelope sent, if any.
-        """
-        batch = list(payloads)
-        if not batch:
-            return None
-        if len(batch) == 1:
-            return self.send(source, destination, batch[0])
-        self.bundles_sent += 1
-        trace = None
-        if self.tracer.enabled:
-            # The bundle inherits the first traced member's context so the
-            # whole flush appears as one wire hop in that update's trace
-            # (every member still carries its own context for the receiver).
-            for payload in batch:
-                trace = getattr(payload, "trace", None)
-                if trace is not None:
-                    break
-        return self.send(source, destination, Bundle(tuple(batch), trace=trace))
 
     def pump(self) -> List[Envelope]:
         """Advance one tick and return the envelopes delivered this tick.

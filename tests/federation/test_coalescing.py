@@ -2,7 +2,8 @@
 
 ``coalesce_envelopes`` rewrites one commit batch's staged payload sequence —
 dedup absorbed firings, cancel firing→retraction pairs, merge commit notices
-— and the network flushes the result as per-destination transport bundles.
+— and the peer flushes the result as per-destination bundles
+(:func:`~repro.federation.peer.bundle_pairs`).
 Neither rewrite may change what a destination peer observes, so alongside the
 unit tests for each rule there is a differential: the same generated
 multi-peer workload delivered coalesced-and-bundled versus one-envelope-at-a-
@@ -32,6 +33,7 @@ from repro.federation import (
     reference_chase,
 )
 from repro.federation.envelopes import QuestionCancelled, freeze_assignment
+from repro.federation.peer import bundle_pairs
 from repro.service.tickets import RemoteOrigin, TicketStatus
 from repro.workload.federated_loop import (
     FederatedClientSpec,
@@ -117,23 +119,28 @@ class TestCoalesceRules:
 
 
 class TestBundleTransport:
+    """``bundle_pairs`` turns a flush into wire messages; the transport
+    carries a bundle as one envelope."""
+
     def test_empty_flush_sends_nothing(self):
-        transport = Transport()
-        assert transport.send_bundle("a", "b", []) is None
-        assert transport.sent == 0
+        assert bundle_pairs([]) == []
 
     def test_single_payload_is_sent_bare(self):
+        [(destination, message)] = bundle_pairs([("b", "payload")])
         transport = Transport(wire=True)
-        envelope = transport.send_bundle("a", "b", ["payload"])
-        assert envelope is not None and envelope.payload_kind == "raw"
+        envelope = transport.send("a", destination, message)
+        assert envelope.payload_kind == "raw"
         assert transport.bundles_sent == 0
         assert transport.payloads_sent == 1
         [delivered] = transport.pump()
         assert delivered.payload == "payload"
 
     def test_many_payloads_share_one_envelope(self):
+        [(destination, message)] = bundle_pairs(
+            [("b", "one"), ("b", "two"), ("b", "three")]
+        )
         transport = Transport(wire=True)
-        envelope = transport.send_bundle("a", "b", ["one", "two", "three"])
+        envelope = transport.send("a", destination, message)
         # The queued envelope carries bytes on the (default) byte transport;
         # the wire kind names the bundle without decoding it.
         assert envelope.payload_kind == "bundle"
@@ -151,11 +158,23 @@ class TestBundleTransport:
         assert metrics["transport_wire_bytes_sent"] > 0
 
     def test_object_mode_keeps_payload_instances(self):
+        [(destination, message)] = bundle_pairs([("b", "one"), ("b", "two")])
         transport = Transport(wire=False)
-        envelope = transport.send_bundle("a", "b", ["one", "two"])
+        envelope = transport.send("a", destination, message)
         assert isinstance(envelope.payload, Bundle)
         [delivered] = transport.pump()
         assert delivered.payload is envelope.payload
+
+    def test_destinations_keep_first_seen_order(self):
+        pairs = [("c", "one"), ("b", "two"), ("c", "three")]
+        assert bundle_pairs(pairs) == [
+            ("c", Bundle(("one", "three"))),
+            ("b", "two"),
+        ]
+        # Unbundled, every payload is its own message, grouped the same way.
+        assert bundle_pairs(pairs, bundle=False) == [
+            ("c", "one"), ("c", "three"), ("b", "two"),
+        ]
 
 
 def _run_network(environment, coalesce, delay=1, reorder_seed=None):

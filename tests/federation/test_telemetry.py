@@ -253,6 +253,22 @@ def test_drain_records_its_latency_decomposition(tmp_path):
             assert sum('"rec": "drain"' in line for line in handle) >= 2
 
 
+def test_a_late_status_reply_never_replaces_a_newer_view(tmp_path):
+    """A status reply parked while the coordinator awaited another peer is
+    observed after the went-idle push that followed it on the channel; the
+    drain's view must keep the push, or the idle (silent) peer stalls it."""
+    with running(chain_federation(tmp_path, telemetry_interval=0.0)) as federation:
+        federation.submit("a", InsertOperation(make_tuple("A1", "v1")))
+        federation.drain(timeout=DRAIN_TIMEOUT, mode="watermark")
+        newer = federation._watermarks["a"]
+        stale = dict(newer, activity_seq=newer["activity_seq"] - 1, quiescent=False)
+        federation._observe_telemetry("a", stale, "status")
+        assert federation._watermarks["a"] is newer
+        federation.submit("a", InsertOperation(make_tuple("A1", "v2")))
+        federation.drain(timeout=DRAIN_TIMEOUT, mode="watermark")
+        assert federation.global_snapshot().count("B2") == 2
+
+
 # ----------------------------------------------------------------------
 # Satellite: drain settle state resets between calls (peer-lost sandwich)
 # ----------------------------------------------------------------------
