@@ -194,7 +194,7 @@ class FederatedNetwork:
     @property
     def deliveries_deferred(self) -> int:
         """Deliveries a full admission queue refused (every refusal counts)."""
-        return sum(peer.deliveries_deferred for peer in self._peers.values())
+        return self.registry.gauge("deliveries_deferred").value
 
     @property
     def tracer(self):
@@ -246,8 +246,21 @@ class FederatedNetwork:
         *asking* are dropped from every inbox: their decisions died with the
         old service, and the re-submitted updates re-ask them under fresh
         decision ids.
+
+        *path* must be the peer's latest checkpoint, with nothing delivered
+        to, submitted at, answered at or stepped forward by the peer since
+        (:meth:`Peer.holds_checkpoint`) — the instant the socket
+        federation's ``checkpoint_peer(halt=True)`` freezes its victim at.
+        Anything else raises :class:`FederationError` and leaves the peer
+        running: its federated inbox and routed submissions live in the
+        peer, and a restart from an older checkpoint would lose the ones
+        that changed since.
         """
-        self.peer(name)
+        if not self.peer(name).holds_checkpoint(path):
+            raise FederationError(
+                "peer {!r} has moved on since checkpoint {!r}: restart from "
+                "a checkpoint taken after its last activity".format(name, path)
+            )
         reborn = self._peers[name] = self._build_peer(name, restore=path)
         for peer in self._peers.values():
             peer.drop_questions(name)

@@ -38,6 +38,7 @@ overflows admission — the driver decides and the peer only reports.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple as PyTuple
@@ -369,6 +370,9 @@ class Peer:
         #: The checkpoint ``extra`` this peer was restored from (drivers keep
         #: their own restart bookkeeping there); empty for a fresh peer.
         self.restored: Dict = {}
+        #: ``(path, activity_seq)`` of the checkpoint this peer last wrote or
+        #: was restored from (see :meth:`holds_checkpoint`).
+        self._checkpointed: Optional[PyTuple[str, int]] = None
         service.add_batch_commit_listener(self._on_batch_commit)
 
     @classmethod
@@ -450,6 +454,7 @@ class Peer:
             for fid, body in extra.get("submit_retry", ())
         ]
         peer.restored = extra
+        peer._checkpointed = (os.path.abspath(restore), peer.activity_seq)
         return peer
 
     # ------------------------------------------------------------------
@@ -926,7 +931,21 @@ class Peer:
                 for fid, operation in self.submit_retry
             ],
         })
-        return self.service.checkpoint(path, extra=body)
+        written = self.service.checkpoint(path, extra=body)
+        self._checkpointed = (os.path.abspath(path), self.activity_seq)
+        return written
+
+    def holds_checkpoint(self, path: str) -> bool:
+        """Whether restoring *path* loses nothing of this peer.
+
+        True when *path* is the checkpoint this peer last wrote (or was
+        restored from) and nothing has happened here since: no delivery,
+        submit, answer, productive round or send.  Bookkeeping that changed
+        after a checkpoint is not in it — a question delivered since, a
+        routed submission's commit notice awaited since — so a restart from
+        an older checkpoint would strand those updates.
+        """
+        return self._checkpointed == (os.path.abspath(path), self.activity_seq)
 
     # ------------------------------------------------------------------
     # Introspection

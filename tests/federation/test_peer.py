@@ -26,7 +26,7 @@ from repro.federation import (
     RemoteUpdate,
     Transport,
 )
-from repro.federation.exchange import ExchangeRules
+from repro.federation.exchange import ExchangeRules, FederationError
 from repro.federation.peer import Peer
 from repro.obs.trace import Tracer
 from repro.service import AdmissionConfig
@@ -278,3 +278,42 @@ def test_staged_window_flushes_on_its_round_and_on_checkpoint(tmp_path, rounds):
     assert b.staging.staged_count() == (0 if rounds == 1 else 1)
     b.checkpoint(str(tmp_path / "b.ckpt"))  # a checkpoint strands nothing
     assert len(_sent(b_sent, QuestionOpened)) == 1 and b.staging.staged_count() == 0
+
+
+def test_restart_refuses_a_checkpoint_the_peer_has_moved_past(tmp_path):
+    network = FederatedNetwork(SCHEMA, INITIAL, MAPPINGS, OWNERSHIP, transport=Transport())
+    ticket = network.submit("a", InsertOperation(make_tuple("Seed", "s1")))
+    stale = str(tmp_path / "stale.ckpt")
+    network.checkpoint_peer("a", stale)
+    # The firing reaches b, parks there, and its question is delivered to
+    # a's inbox after the checkpoint: restoring it would lose the question.
+    for _ in range(10):
+        network.pump()
+        if network.inbox("a"):
+            break
+    assert network.inbox("a")
+    old = network.peer("a")
+    with pytest.raises(FederationError, match="moved on"):
+        network.restart_peer("a", stale)
+    assert network.peer("a") is old and network.inbox("a")
+    fresh = str(tmp_path / "fresh.ckpt")
+    network.checkpoint_peer("a", fresh)
+    reborn = network.restart_peer("a", fresh)
+    assert reborn is not old and network.inbox("a")
+    network.run_until_quiescent(answer_strategy=conservative_answer)
+    assert ticket.status is TicketStatus.COMMITTED
+
+
+def test_restart_accepts_a_checkpoint_with_idle_rounds_after_it(tmp_path):
+    network = FederatedNetwork(SCHEMA, INITIAL, MAPPINGS, OWNERSHIP, transport=Transport())
+    network.submit("a", InsertOperation(make_tuple("Seed", "s1")))
+    network.run_until_quiescent(answer_strategy=conservative_answer)
+    path = str(tmp_path / "b.ckpt")
+    network.checkpoint_peer("b", path)
+    for _ in range(3):
+        network.pump()  # nothing reaches b: its state is still the checkpoint's
+    before = network.peer("b").owned_snapshot()
+    network.restart_peer("b", path)
+    network.restart_peer("b", path)  # a reborn peer holds the file it came from
+    assert network.peer("b").owned_snapshot() == before
+    assert network.quiescent()
