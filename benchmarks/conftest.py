@@ -60,15 +60,20 @@ def figure4_result(experiment_config, environment):
     return run_workload_experiment(MIXED_WORKLOAD, experiment_config, environment)
 
 
-#: The regenerated figure panels are also appended here so that the numbers
+#: The regenerated figure panels are also written here so that the numbers
 #: survive pytest's output capturing (EXPERIMENTS.md records them from this file).
+#: The first panel line of a session truncates the file, so it always holds
+#: exactly one run's panels.
 PANEL_LOG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmark_panels.txt")
+_panel_log_started = False
 
 
 def _emit(line: str) -> None:
+    global _panel_log_started
     print(line)
-    with open(PANEL_LOG, "a") as handle:
+    with open(PANEL_LOG, "a" if _panel_log_started else "w") as handle:
         handle.write(line + "\n")
+    _panel_log_started = True
 
 
 def print_series(title, series):

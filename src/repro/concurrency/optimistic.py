@@ -55,7 +55,6 @@ class OptimisticScheduler:
         proof_carrying_commit: bool = True,
         tracer=None,
         trace_peer: str = "",
-        sql_chase: Optional[object] = None,
     ):
         self._store = store
         self._tracer = tracer if tracer is not None else default_tracer()
@@ -71,25 +70,6 @@ class OptimisticScheduler:
         #: admits or restarts (the per-mapping plans are process-cached, but
         #: the relation-keyed lookup tables used to be rebuilt per execution).
         self._compiled_mappings = compile_mappings(self._mappings)
-        from ..query.sql_chase import resolve_sql_chase
-
-        #: SQL chase path (``None`` defers to ``REPRO_SQL_CHASE``): one
-        #: :class:`~repro.storage.mirror.DeltaMirror` shadows the store's
-        #: committed baseline (fed incrementally by commit-time compaction)
-        #: and one shared :class:`~repro.query.sql_chase.SqlViolationEvaluator`
-        #: serves every execution; readers join their in-flight delta in-query.
-        self._chase_mirror = None
-        self._sql_evaluator = None
-        sql_mode = resolve_sql_chase(sql_chase)
-        if sql_mode:
-            from ..query.sql_chase import SqlViolationEvaluator
-            from ..storage.mirror import DeltaMirror
-
-            self._chase_mirror = DeltaMirror(store.schema)
-            self._chase_mirror.attach_store(store)
-            self._sql_evaluator = SqlViolationEvaluator(
-                self._chase_mirror, differential=(sql_mode == "check")
-            )
         self._tracker = tracker
         self._oracle = oracle if oracle is not None else RandomOracle(seed=0)
         self._policy = policy if policy is not None else RoundRobinStepPolicy()
@@ -147,14 +127,6 @@ class OptimisticScheduler:
         self.statistics = RunStatistics(algorithm=tracker.name)
 
     # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def sql_evaluator(self):
-        """The shared SQL violation evaluator (``None`` with SQL chase off)."""
-        return self._sql_evaluator
-
-    # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
     def submit(
@@ -178,7 +150,6 @@ class OptimisticScheduler:
             oracle=self._oracle,
             null_factory=self._null_factory,
             compiled=self._compiled_mappings,
-            sql_evaluator=self._sql_evaluator,
         )
         self._executions[priority] = execution
         self.statistics.updates_submitted += 1

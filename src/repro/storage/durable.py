@@ -75,6 +75,8 @@ class WriteLogSegments:
         self._next_segment = 1
         #: The segment currently receiving appends (``None`` until needed).
         self._current: Optional[int] = None
+        #: Torn final records cut off the newest segment while reopening.
+        self.torn_records = 0
         self._load_existing()
 
     # ------------------------------------------------------------------
@@ -104,23 +106,28 @@ class WriteLogSegments:
                 meta = json.load(handle)
             _check_version(meta)
             self._watermark = meta.get("watermark", 0)
-        for name in os.listdir(self.directory):
-            if not (name.startswith(_SEGMENT_PREFIX) and name.endswith(_SEGMENT_SUFFIX)):
-                continue
-            index = int(name[len(_SEGMENT_PREFIX):-len(_SEGMENT_SUFFIX)])
+        indexes = sorted(
+            int(name[len(_SEGMENT_PREFIX):-len(_SEGMENT_SUFFIX)])
+            for name in os.listdir(self.directory)
+            if name.startswith(_SEGMENT_PREFIX) and name.endswith(_SEGMENT_SUFFIX)
+        )
+        for index in indexes:
+            with open(self._segment_path(index), "rb") as handle:
+                data = handle.read()
+            if index == indexes[-1]:
+                data = self._truncate_torn_tail(index, data)
             priorities: Set[int] = set()
             entries = 0
-            with open(os.path.join(self.directory, name), "rb") as handle:
-                for line in handle:
-                    if not line.strip():
-                        continue
-                    record = json.loads(line.decode("utf-8"))
-                    _check_version(record)
-                    entries += 1
-                    if record["t"] == "write":
-                        priorities.add(record["e"]["pri"])
-                    elif record["t"] == "rollback":
-                        priorities.add(record["p"])
+            for line in data.split(b"\n"):
+                if not line.strip():
+                    continue
+                record = json.loads(line.decode("utf-8"))
+                _check_version(record)
+                entries += 1
+                if record["t"] == "write":
+                    priorities.add(record["e"]["pri"])
+                elif record["t"] == "rollback":
+                    priorities.add(record["p"])
             self._segment_priorities[index] = priorities
             self._segment_entries[index] = entries
             self._next_segment = max(self._next_segment, index + 1)
@@ -128,6 +135,29 @@ class WriteLogSegments:
             newest = max(self._segment_priorities)
             if self._segment_entries[newest] < self.max_entries_per_segment:
                 self._current = newest
+
+    def _truncate_torn_tail(self, index: int, data: bytes) -> bytes:
+        """Cut a torn final record off segment *index*; returns the kept bytes.
+
+        Only the newest segment's last record can be torn: a crash mid-append
+        leaves it without its newline or undecodable.  The file is truncated
+        back to the last newline so appends resume on a record boundary.  A
+        bad record anywhere else is corruption, and the loader raises on it.
+        """
+        start = data.rfind(b"\n", 0, len(data) - 1) + 1
+        final = data[start:]
+        if not final.strip():
+            return data
+        if final.endswith(b"\n"):
+            try:
+                json.loads(final.decode("utf-8"))
+                return data
+            except ValueError:
+                pass
+        with open(self._segment_path(index), "r+b") as handle:
+            handle.truncate(start)
+        self.torn_records += 1
+        return data[:start]
 
     # ------------------------------------------------------------------
     # Appending

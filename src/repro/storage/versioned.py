@@ -194,12 +194,6 @@ class VersionedDatabase:
         #: when attached, every applied write, rollback and compaction is
         #: mirrored to codec-encoded segment files (see :meth:`attach_segments`).
         self._segments = None
-        #: Attached SQL-chase mirrors (:class:`~repro.storage.mirror.DeltaMirror`):
-        #: :meth:`compact_below` pushes each newly committed priority's log
-        #: entries to them (seq-sorted) just before dropping those entries,
-        #: so the mirrors' committed baseline can advance incrementally
-        #: without ever re-reading the store.
-        self._chase_mirrors: List = []
 
     # ------------------------------------------------------------------
     # Loading and basic accessors
@@ -237,17 +231,6 @@ class VersionedDatabase:
     def segments(self):
         """The attached durable segment log (``None`` in memory-only mode)."""
         return self._segments
-
-    def attach_chase_mirror(self, sink) -> None:
-        """Subscribe *sink* to committed write-log entries.
-
-        *sink* needs one method, ``enqueue_committed(entries)``; it is called
-        from :meth:`compact_below` with the committing priorities' log entries
-        in seq order, before those entries leave the log.  Rollbacks are
-        never forwarded — a rolled-back priority has no log entries left by
-        the time it could commit, so sinks only ever see durable history.
-        """
-        self._chase_mirrors.append(sink)
 
     def committed_versions(
         self, watermark: float
@@ -774,21 +757,6 @@ class VersionedDatabase:
             ]
             removed_versions += len(dropped)
             self._prune_index_entries(tid, dropped, record.versions)
-        if self._chase_mirrors:
-            # Push the committing entries before they leave the log: sorted
-            # by seq so a mirror replaying them per tid lands on the newest
-            # committed version (cross-push interleavings are handled by the
-            # mirror's max-seq-wins guard).
-            committed_entries = sorted(
-                (
-                    entry
-                    for priority in targets
-                    for entry in self._log_by_priority[priority]
-                ),
-                key=lambda entry: entry.seq,
-            )
-            for sink in self._chase_mirrors:
-                sink.enqueue_committed(committed_entries)
         self._drop_priorities_log(targets)
         # Compaction preserves visibility for every remaining reader, but it
         # does move physical versions; bump the touched relations so stamped

@@ -13,7 +13,10 @@ from repro.core.terms import Constant, LabeledNull, Variable
 from repro.core.tuples import Tuple, make_tuple
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.sql import decode_row, decode_term, encode_row, encode_term
-from repro.query.violation_query import ViolationQuery
+from repro.query.violation_query import (
+    ViolationQuery,
+    violation_queries_for_write_row,
+)
 from repro.storage.sqlite_backend import SQLiteDatabase
 from repro.workload.mapping_gen import generate_mappings
 from repro.workload.schema_gen import generate_constant_pool, generate_schema
@@ -66,24 +69,30 @@ class TestSQLiteAgainstMemory:
         sqlite_bindings = sqlite_travel.evaluate_violation_sql(sigma3)
         assert memory_bindings == sqlite_bindings
 
-    def test_randomized_cross_check(self):
-        rng = random.Random(99)
+    @pytest.mark.parametrize(
+        "seed, null_density", [(99, 0.2), (5, 0.2), (42, 0.2), (13, 0.6)]
+    )
+    def test_randomized_cross_check(self, seed, null_density):
+        rng = random.Random(seed)
         schema = generate_schema(num_relations=4, max_arity=3, rng=rng)
         pool = generate_constant_pool(size=6, rng=rng)
         mappings = generate_mappings(schema, 5, rng=rng, constant_pool=pool)
         from repro.storage.memory import MemoryDatabase
 
-        memory = MemoryDatabase(schema)
-        sqlite = SQLiteDatabase(schema)
-        for _ in range(60):
+        def random_row():
             relation = rng.choice(schema.relation_names())
             values = [
                 LabeledNull("n{}".format(rng.randint(1, 4)))
-                if rng.random() < 0.2
+                if rng.random() < null_density
                 else rng.choice(pool)
                 for _ in range(schema.arity_of(relation))
             ]
-            row = Tuple(relation, values)
+            return Tuple(relation, values)
+
+        memory = MemoryDatabase(schema)
+        sqlite = SQLiteDatabase(schema)
+        for _ in range(60):
+            row = random_row()
             memory.insert(row)
             sqlite.insert(row)
         for tgd in mappings:
@@ -91,4 +100,27 @@ class TestSQLiteAgainstMemory:
                 row.bindings for row in ViolationQuery(tgd).evaluate(memory)
             }
             assert memory_bindings == sqlite.evaluate_violation_sql(tgd)
+        # The seeded queries a chase step asks after inserting (LHS seeds) or
+        # removing (RHS seeds) a row, for fresh rows and for stored ones.
+        written = [random_row() for _ in range(10)]
+        written += [
+            row
+            for relation in schema.relation_names()
+            for row in sorted(memory.tuples(relation), key=repr)[:3]
+        ]
+        checked = 0
+        for row in written:
+            for tgd in mappings:
+                for removed in (False, True):
+                    for query in violation_queries_for_write_row(
+                        tgd, row, removed=removed
+                    ):
+                        memory_bindings = {
+                            answer.bindings for answer in query.evaluate(memory)
+                        }
+                        assert memory_bindings == sqlite.evaluate_violation_sql(
+                            tgd, seed=query.seed
+                        )
+                        checked += 1
+        assert checked > 0
         sqlite.close()

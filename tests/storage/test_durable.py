@@ -17,8 +17,11 @@ import pytest
 
 from repro.core.schema import DatabaseSchema
 from repro.core.terms import Constant, LabeledNull
-from repro.core.tuples import Tuple
+from repro.core.tuples import Tuple, make_tuple
+from repro.core.update import InsertOperation
 from repro.core.writes import delete, insert
+from repro.fixtures.genealogy import genealogy_repository
+from repro.service.repository import RepositoryService
 from repro.storage.durable import WriteLogSegments, read_snapshot, write_snapshot
 from repro.storage.interface import dump_sorted
 from repro.storage.memory import FrozenDatabase
@@ -163,3 +166,70 @@ def test_snapshot_file_rejects_wrong_kind(tmp_path):
     path.write_bytes(dumps({"v": 1, "t": "something-else"}) + b"\n")
     with pytest.raises(CodecError, match="not a snapshot file"):
         read_snapshot(str(path))
+
+
+def test_torn_tail_of_newest_segment_is_truncated_on_reopen(tmp_path):
+    """A crash mid-append leaves a torn final record; reopening drops it."""
+    wal = tmp_path / "wal"
+    database, mappings = genealogy_repository()
+    service = RepositoryService(database.snapshot(), mappings, durable_dir=str(wal))
+    session = service.open_session("writer")
+    for number in range(20):
+        service.submit(
+            session.session_id,
+            InsertOperation(make_tuple("Person", "p{}".format(number))),
+        )
+    service.run_until_blocked()
+    newest = max(wal.glob("segment-*.log"))
+    data = newest.read_bytes()
+    complete = data[: data.rfind(b"\n", 0, len(data) - 1) + 1]
+    # The same log with its final record cleanly absent: what must replay.
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    for path in wal.iterdir():
+        (clean / path.name).write_bytes(path.read_bytes())
+    (clean / newest.name).write_bytes(complete)
+    expected = WriteLogSegments(str(clean)).replay()
+    assert expected
+
+    newest.write_bytes(data[:-7])
+    reopened = WriteLogSegments(str(wal))
+    assert reopened.torn_records == 1
+    assert newest.read_bytes() == complete
+    assert [entry.seq for entry in reopened.replay()] == [
+        entry.seq for entry in expected
+    ]
+    # Appends resume on a record boundary.
+    reopened.record_rollback(99)
+    assert WriteLogSegments(str(wal)).torn_records == 0
+
+
+def test_undecodable_final_record_counts_as_torn(tmp_path):
+    store, _ = _store(tmp_path)
+    store.apply_writes([insert(Tuple("S", ["w1"])), insert(Tuple("S", ["w2"]))], 1)
+    directory = tmp_path / "segments"
+    newest = max(directory.glob("segment-*.log"))
+    newest.write_bytes(newest.read_bytes() + b'{"v": 1, "t"\n')
+    reopened = WriteLogSegments(str(directory))
+    assert reopened.torn_records == 1
+    assert [entry.seq for entry in reopened.replay()] == [
+        entry.seq for entry in store.write_log()
+    ]
+
+
+@pytest.mark.parametrize("where", ["mid-segment", "older-segment-tail"])
+def test_bad_record_outside_the_newest_tail_still_raises(tmp_path, where):
+    store, segments = _store(tmp_path)
+    for priority in range(1, 7):
+        store.apply_writes([insert(Tuple("S", ["v{}".format(priority)]))], priority)
+    assert len(segments.segment_indexes()) >= 2
+    directory = tmp_path / "segments"
+    if where == "mid-segment":
+        segment = max(directory.glob("segment-*.log"))
+        first, second = segment.read_bytes().splitlines(keepends=True)
+        segment.write_bytes(first[:-7] + b"\n" + second)
+    else:
+        segment = min(directory.glob("segment-*.log"))
+        segment.write_bytes(segment.read_bytes()[:-7])
+    with pytest.raises(ValueError):
+        WriteLogSegments(str(directory))
