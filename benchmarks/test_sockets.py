@@ -34,7 +34,6 @@ assertions (the non-blocking CI benchmarks job sets it).
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -53,6 +52,8 @@ from repro.workload.federation_gen import (
     FederationScenarioConfig,
     generate_federation_environment,
 )
+
+from conftest import record_entries, recorded_entries
 
 SCALES = {
     "tiny": FederationScenarioConfig(
@@ -75,38 +76,6 @@ SCALES = {
         seed=0,
     ),
 }
-
-RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_scaling.json",
-)
-
-
-def _merge_entry(key, entry):
-    """Merge one entry into the trajectory file, preserving other keys."""
-    recorded = {}
-    if os.path.exists(RESULT_PATH):
-        try:
-            with open(RESULT_PATH) as handle:
-                recorded = json.load(handle)
-        except ValueError:
-            recorded = {}
-    recorded[key] = entry
-    with open(RESULT_PATH, "w") as handle:
-        json.dump(recorded, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _recorded_batched():
-    """The committed ``batched`` entry the speedup fields compare against."""
-    if not os.path.exists(RESULT_PATH):
-        return {}
-    try:
-        with open(RESULT_PATH) as handle:
-            return json.load(handle).get("batched", {})
-    except ValueError:
-        return {}
-
 
 def _run_inprocess(config):
     environment = generate_federation_environment(config)
@@ -190,7 +159,7 @@ def test_socket_federation_throughput(tmp_path):
     # at least absorb every user operation; equivalence above is the bar.
     assert min(committed, inprocess_committed) >= len(tickets)
 
-    recorded = _recorded_batched()
+    recorded = recorded_entries().get("batched", {})
     committed_per_second = committed / max(wall, 1e-9)
     inprocess_per_second = inprocess_committed / max(inprocess_wall, 1e-9)
     entry = {
@@ -231,7 +200,7 @@ def test_socket_federation_throughput(tmp_path):
         entry["speedup_vs_batched_wire_recorded"] = (
             committed_per_second / recorded["wire_committed_per_second"]
         )
-    _merge_entry("federation_sockets", entry)
+    record_entries({"federation_sockets": entry})
 
     print(
         "\nsocket federation bench ({} peers, {} scale, {} cores): {} user ops "

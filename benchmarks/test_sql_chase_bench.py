@@ -11,7 +11,6 @@ of ``BENCH_scaling.json`` (tracked by ``compare_bench.py``).
 
 from __future__ import annotations
 
-import json
 import os
 import sqlite3
 import time
@@ -21,17 +20,14 @@ from repro.query.sql import create_table_statement, quote_identifier
 from repro.storage.sqlite_backend import SQLiteDatabase
 from repro.workload.experiment import ExperimentConfig, build_environment
 
+from conftest import record_entries
+
 #: Store size (initial tuples requested from the generator) per bench scale.
 TUPLE_COUNTS = {"tiny": 500, "small": 1500, "paper": 4000}
 
 #: Required speedup under ``REPRO_BENCH_STRICT=1``; the tiny CI smoke run
 #: keeps a soft bar because sub-10ms timings are noisy.
 MIN_LOAD_SPEEDUP = {"tiny": 1.0, "small": 1.5, "paper": 1.5}
-
-RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_scaling.json",
-)
 
 
 def _legacy_per_row_load(schema, view, path):
@@ -109,17 +105,7 @@ def test_sql_bulk_load(tmp_path):
     assert bulk_load["contents_match"]
     report = {"scale": scale, "store_rows": bulk_load["rows"], "bulk_load": bulk_load}
 
-    merged = {}
-    if os.path.exists(RESULT_PATH):
-        try:
-            with open(RESULT_PATH) as handle:
-                merged = json.load(handle)
-        except ValueError:
-            merged = {}
-    merged["sql_chase"] = report
-    with open(RESULT_PATH, "w") as handle:
-        json.dump(merged, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    record_entries({"sql_chase": report})
 
     print(
         "\nSQLite bulk load {} rows: per-row {:.3f}s vs batched {:.3f}s "

@@ -16,6 +16,14 @@ A :class:`CompiledTgd` derives everything once per mapping:
   most-constrained-first atom ordering per set of pre-bound variables and
   keeps the original-position permutation needed to report witnesses.
 
+Each atom is matched against the rows of one value-index bucket of a bound
+position.  Full enumeration probes the *first* bound position, so the order
+of matches (and with it the order in which the chase finds violations and
+witnesses) never depends on bucket sizes.  A bounded search (``limit`` set)
+is an existence check and probes the bound position whose bucket is
+smallest by :meth:`~repro.storage.interface.DatabaseView.value_count`; an
+empty bucket ends it at once.
+
 Plans are value-cached: :func:`get_plan` memoizes on the (hashable) tgd, so
 every engine, planner and query sharing a mapping shares one plan.  A
 :class:`CompiledMappings` bundles the plans of a mapping set with
@@ -203,11 +211,19 @@ class CompiledConjunction:
 
         Identical semantics to :func:`repro.query.homomorphism.find_matches`,
         minus the per-call ordering and index-permutation work.
+
+        A bounded search (``limit`` set) is an existence check, so it may
+        take candidates in any order: each atom probes its most selective
+        bound position (:func:`_selective_candidates`).  Full enumeration
+        keeps the first-bound probe, because its candidate order fixes the
+        order of the matches — and through them the order in which the chase
+        reports violations and witnesses.
         """
         seed: Assignment = dict(assignment) if assignment else {}
         ordered = self.ordering_for(frozenset(seed), view)
         atom_count = len(ordered)
         results: List[Match] = []
+        candidates = _candidate_tuples if limit is None else _selective_candidates
 
         def recurse(depth: int, current: Assignment, chosen: List[Tuple]) -> bool:
             if depth == atom_count:
@@ -217,7 +233,7 @@ class CompiledConjunction:
                 results.append((dict(current), tuple(witness)))  # type: ignore[arg-type]
                 return limit is not None and len(results) >= limit
             atom = ordered[depth][0]
-            for row in _candidate_tuples(atom, current, view):
+            for row in candidates(atom, current, view):
                 extended = atom.match(row, current)
                 if extended is None:
                     continue
@@ -255,6 +271,38 @@ def _candidate_tuples(
     if best_position is None:
         return view.tuples(atom.relation)
     return view.tuples_with_value(atom.relation, best_position, best_value)
+
+
+def _selective_candidates(
+    atom: Atom, assignment: Assignment, view: DatabaseView
+) -> Iterable[Tuple]:
+    """Like :func:`_candidate_tuples`, probing the smallest bound bucket.
+
+    Bucket sizes come from :meth:`DatabaseView.value_count`; a view without
+    them gets the first-bound probe.  An empty bucket means no row can
+    match, so the lookup ends without touching the view's tuples.
+    """
+    relation = atom.relation
+    best_position: Optional[int] = None
+    best_value: Optional[DataTerm] = None
+    best_count = 0
+    for position, term in enumerate(atom.terms):
+        if is_variable(term):
+            value = assignment.get(term)
+            if value is None:
+                continue
+        else:
+            value = term
+        count = view.value_count(relation, position, value)
+        if count is None:
+            return view.tuples_with_value(relation, position, value)
+        if count == 0:
+            return ()
+        if best_position is None or count < best_count:
+            best_position, best_value, best_count = position, value, count
+    if best_position is None:
+        return view.tuples(relation)
+    return view.tuples_with_value(relation, best_position, best_value)
 
 
 class CompiledTgd:

@@ -165,11 +165,18 @@ class ServiceMetrics:
 
 
 def store_metrics(store: object) -> Dict[str, float]:
-    """The versioned store's size gauges, snapshot-key named."""
+    """The versioned store's size gauges, snapshot-key named.
+
+    ``durable_torn_records`` counts torn final records cut off the redo log
+    when it was reopened (always 0 for a memory-only store): a nonzero value
+    means the last run crashed mid-append and lost that write.
+    """
+    segments = store.segments
     return {
         "store_log_entries": store.log_size(),
         "store_versions": store.version_count(),
         "store_tuples": store.tuple_count(),
         "store_index_entries": store.index_entry_count(),
         "store_compactions": store.compactions,
+        "durable_torn_records": segments.torn_records if segments is not None else 0,
     }

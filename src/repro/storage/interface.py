@@ -94,6 +94,19 @@ class DatabaseView(ABC):
         """
         return None
 
+    def value_count(
+        self, relation: str, position: int, value: DataTerm
+    ) -> Optional[int]:
+        """A cheap (O(1)) upper bound on what ``tuples_with_value`` would scan.
+
+        Existence checks use it to probe the most selective bound position
+        of an atom, and a zero ends the lookup before any scan.  ``None``
+        (the default) means "no cheap bucket size available" — the matcher
+        then probes the first bound position.  Backends with a value index
+        return the length of the bucket ``tuples_with_value`` iterates.
+        """
+        return None
+
     def change_token(self) -> Optional[object]:
         """A value that changes whenever this view's visible contents may have.
 

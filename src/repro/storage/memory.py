@@ -127,6 +127,12 @@ class MemoryDatabase(MutableDatabase):
     def cardinality_estimate(self, relation: str) -> Optional[int]:
         return len(self._relations.get(relation, set()))
 
+    def value_count(
+        self, relation: str, position: int, value: DataTerm
+    ) -> Optional[int]:
+        # Exact: the index holds exactly the stored rows.
+        return len(self._index.lookup(relation, position, value))
+
     def change_token(self) -> Optional[object]:
         return self._stamp
 

@@ -177,6 +177,12 @@ class VersionedDatabase:
         # on the single-version store.
         self._value_index: Dict[PyTuple[str, int, DataTerm], Set[int]] = defaultdict(set)
         self._null_index: Dict[LabeledNull, Set[int]] = defaultdict(set)
+        #: Per priority: identities its deletes and modifications changed
+        #: beyond each log entry's own ``tid``.  Several identities can hold
+        #: the same visible content (a modification onto a row that is
+        #: already there, or equal inserts by different updates); a write
+        #: acts on all of them, and rollback and compaction visit them all.
+        self._fanout_tids: Dict[int, Set[int]] = {}
         #: Monotone stamp bumped by every mutation (write, rollback,
         #: compaction).  Memoizing consumers — the PRECISE tracker's delta
         #: verdict cache — key their entries to it.
@@ -516,43 +522,77 @@ class VersionedDatabase:
             self._append_log(logged)
         return logged
 
-    def _find_visible_tid(self, row: Tuple, priority: int) -> Optional[int]:
-        # Any identity whose visible content equals *row* must be indexed
-        # under the first value of some version equal to *row* — so the first
-        # position's bucket is a complete (over-approximate) candidate set,
-        # far smaller than the whole relation.  Pure read: no store mutation
-        # can happen mid-scan, so the bucket is iterated without a copy.
-        if row.values:
-            candidates: Iterable[int] = self._value_index.get(
-                (row.relation, 0, row.values[0]), ()
-            )
-        else:  # pragma: no cover - zero-arity relations do not occur
-            candidates = self._by_relation.get(row.relation, ())
+    def _row_candidates(self, row: Tuple) -> Iterable[int]:
+        """The smallest of *row*'s value-index buckets (empty when one is).
+
+        An identity whose visible content equals *row* is indexed under
+        every ``(relation, position, value)`` of *row* — entries are added
+        and pruned for all positions alike — so each bucket is a complete
+        (over-approximate) candidate set and the smallest one suffices.
+        Pure read: no store mutation can happen mid-scan, so the bucket is
+        iterated without a copy.
+        """
+        if not row.values:  # pragma: no cover - zero-arity relations do not occur
+            return self._by_relation.get(row.relation, ())
+        index = self._value_index
+        relation = row.relation
+        smallest: Optional[Set[int]] = None
+        for position, value in enumerate(row.values):
+            bucket = index.get((relation, position, value))
+            if not bucket:
+                return ()
+            if smallest is None or len(bucket) < len(smallest):
+                smallest = bucket
+        return smallest  # type: ignore[return-value]
+
+    def _visible_tids(self, row: Tuple, priority: float) -> Iterator[int]:
+        """Identities whose content visible at *priority* is *row*."""
         tuples = self._tuples
-        for tid in candidates:
+        for tid in self._row_candidates(row):
             record = tuples.get(tid)
             if record is not None and record.visible_content(priority) == row:
-                return tid
-        return None
+                yield tid
+
+    def _fan_out(
+        self, tids: List[int], priority: int, content: Optional[Tuple]
+    ) -> int:
+        """Give every identity in *tids* a new version; returns the shared seq.
+
+        The lowest tid is the one the log entry names; the others are
+        remembered per priority for rollback and compaction.
+        """
+        seq = self._next_seq()
+        for tid in tids:
+            self._tuples[tid].versions.append(
+                Version(seq=seq, priority=priority, content=content)
+            )
+            if content is not None:
+                self._index_content(tid, content)
+        if len(tids) > 1:
+            self._fanout_tids.setdefault(priority, set()).update(tids[1:])
+        return seq
+
+    def _tids_touched_by(self, priority: int) -> Set[int]:
+        """Every identity the logged writes of *priority* gave a version."""
+        touched = {entry.tid for entry in self._log_by_priority.get(priority, ())}
+        touched.update(self._fanout_tids.get(priority, ()))
+        return touched
 
     def _insert(
         self, write: Write, priority: int, defer: bool = False
     ) -> Optional[VersionedWrite]:
-        if self._find_visible_tid(write.row, priority) is not None:
+        if next(self._visible_tids(write.row, priority), None) is not None:
             return None
         return self._new_tuple(write.row, priority, log_write=write, defer=defer)
 
     def _delete(
         self, write: Write, priority: int, defer: bool = False
     ) -> Optional[VersionedWrite]:
-        tid = self._find_visible_tid(write.row, priority)
-        if tid is None:
+        tids = sorted(self._visible_tids(write.row, priority))
+        if not tids:
             return None
-        seq = self._next_seq()
-        self._tuples[tid].versions.append(
-            Version(seq=seq, priority=priority, content=None)
-        )
-        logged = VersionedWrite(seq=seq, priority=priority, tid=tid, write=write)
+        seq = self._fan_out(tids, priority, None)
+        logged = VersionedWrite(seq=seq, priority=priority, tid=tids[0], write=write)
         if not defer:
             self._bump_relations((write.row.relation,))
             self._append_log(logged)
@@ -563,15 +603,11 @@ class VersionedDatabase:
     ) -> Optional[VersionedWrite]:
         if write.old_row is None:
             raise StorageError("modification write lacks its old content: {!r}".format(write))
-        tid = self._find_visible_tid(write.old_row, priority)
-        if tid is None:
+        tids = sorted(self._visible_tids(write.old_row, priority))
+        if not tids:
             return None
-        seq = self._next_seq()
-        self._tuples[tid].versions.append(
-            Version(seq=seq, priority=priority, content=write.row)
-        )
-        self._index_content(tid, write.row)
-        logged = VersionedWrite(seq=seq, priority=priority, tid=tid, write=write)
+        seq = self._fan_out(tids, priority, write.row)
+        logged = VersionedWrite(seq=seq, priority=priority, tid=tids[0], write=write)
         if not defer:
             self._bump_relations({write.row.relation, write.old_row.relation})
             self._append_log(logged)
@@ -597,8 +633,9 @@ class VersionedDatabase:
         if self._segments is not None:
             self._segments.record_rollback(priority)
         self._bump_relations({entry.write.relation for entry in removed})
+        touched = self._tids_touched_by(priority)
         self._drop_priority_log(priority)
-        for tid in {entry.tid for entry in removed}:
+        for tid in touched:
             record = self._tuples.get(tid)
             if record is None:
                 continue
@@ -641,6 +678,7 @@ class VersionedDatabase:
             self._log_seqs.pop(priority, None)
             self._log_by_relation.pop(priority, None)
             self._log_by_null.pop(priority, None)
+            self._fanout_tids.pop(priority, None)
 
     def _prune_index_entries(
         self,
@@ -724,8 +762,8 @@ class VersionedDatabase:
         touched_tids: Set[int] = set()
         touched_relations: Set[str] = set()
         for priority in targets:
+            touched_tids |= self._tids_touched_by(priority)
             for entry in self._log_by_priority[priority]:
-                touched_tids.add(entry.tid)
                 touched_relations.add(entry.write.relation)
         removed_versions = 0
         for tid in touched_tids:
@@ -827,9 +865,16 @@ class VersionedView(DatabaseView):
 
     def contains(self, row: Tuple) -> bool:
         # Exact containment through the value index: candidates are the
-        # identities indexed under the row's first value; each is re-checked
+        # identities in the row's smallest bucket; each is re-checked
         # against its visible content (the index over-approximates).
-        return self._store._find_visible_tid(row, self._priority) is not None
+        return next(self._store._visible_tids(row, self._priority), None) is not None
+
+    def value_count(
+        self, relation: str, position: int, value: DataTerm
+    ) -> Optional[int]:
+        # The bucket tuples_with_value scans: an upper bound, since it also
+        # holds identities indexed under older or invisible versions.
+        return len(self._store._value_index.get((relation, position, value), ()))
 
     def cardinality_estimate(self, relation: str) -> Optional[int]:
         # Tuple-identity count: an O(1) upper bound on the visible cardinality

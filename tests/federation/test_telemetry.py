@@ -101,7 +101,7 @@ PINNED_METRIC_KEYS = {
     "frontier_wait_p50_seconds", "frontier_wait_p95_seconds",
     # versioned-store gauges
     "store_log_entries", "store_versions", "store_tuples",
-    "store_index_entries", "store_compactions",
+    "store_index_entries", "store_compactions", "durable_torn_records",
     # scheduler statistics
     "scheduler_algorithm", "scheduler_steps", "scheduler_aborts",
     "scheduler_updates_executed", "scheduler_wall_seconds",

@@ -36,6 +36,7 @@ STORE_KEYS = [
     "store_tuples",
     "store_index_entries",
     "store_compactions",
+    "durable_torn_records",
 ]
 
 

@@ -125,3 +125,20 @@ def test_durable_dir_attaches_segments(tmp_path):
         if entry.write.row.relation == "Person"
     ]
     assert make_tuple("Person", "kim") in nulls_named
+
+
+def test_torn_records_surface_as_a_service_metric(tmp_path):
+    database, mappings = genealogy_repository()
+    wal = tmp_path / "wal"
+    service = RepositoryService(database.snapshot(), mappings, durable_dir=str(wal))
+    assert service.metrics_snapshot()["durable_torn_records"] == 0
+    session = service.open_session("writer")
+    service.submit(session.session_id, InsertOperation(make_tuple("Person", "kim")))
+    service.run_until_blocked()
+    # A crash mid-append: the newest segment ends in half a record.
+    newest = max(wal.glob("segment-*.log"))
+    newest.write_bytes(newest.read_bytes()[:-7])
+    reopened = RepositoryService(database.snapshot(), mappings, durable_dir=str(wal))
+    assert reopened.metrics_snapshot()["durable_torn_records"] == 1
+    memory_only = RepositoryService(database.snapshot(), mappings)
+    assert memory_only.metrics_snapshot()["durable_torn_records"] == 0

@@ -252,3 +252,94 @@ class TestIndexedCorrectionQueries:
         # not accumulate dead tids (or dead keys) in the hot-path buckets.
         assert ("Q", 0, Constant("a")) not in store._value_index
         assert null not in store._null_index
+
+
+class TestDuplicateIdentities:
+    """Several identities may hold one visible row; writes act on all of them.
+
+    A modification onto a row that is already visible, or equal inserts by
+    two updates that cannot see each other, leave two tuple identities with
+    the same content.  The view must still behave like a set of rows, the
+    way :class:`MemoryDatabase` does under the same writes.
+    """
+
+    @pytest.fixture
+    def collided(self, store):
+        from repro.core.tuples import Tuple
+
+        null = LabeledNull("N1")
+        store.apply_write(insert(make_tuple("Q", "a", "b")), priority=1)
+        store.apply_write(insert(Tuple("Q", ("a", null))), priority=1)
+        store.apply_write(
+            modify(Tuple("Q", ("a", null)), make_tuple("Q", "a", "b"), null, Constant("b")),
+            priority=1,
+        )
+        return store
+
+    def test_delete_after_modify_onto_visible_row_removes_it(self, collided):
+        store = collided
+        reference = MemoryDatabase(store.schema)
+        reference.insert(make_tuple("Q", "a", "b"))
+        assert store.apply_write(delete(make_tuple("Q", "a", "b")), priority=1) is not None
+        reference.delete(make_tuple("Q", "a", "b"))
+        view = store.view_for(1)
+        assert not view.contains(make_tuple("Q", "a", "b"))
+        assert list(view.tuples("Q")) == list(reference.tuples("Q")) == []
+
+    def test_modify_of_a_duplicated_row_moves_every_identity(self, collided):
+        store = collided
+        # The old content goes away for every identity that held it.
+        store.apply_write(
+            modify(make_tuple("Q", "a", "b"), make_tuple("Q", "a", "c"), LabeledNull("N9"), Constant("c")),
+            priority=2,
+        )
+        view = store.view_for(2)
+        assert not view.contains(make_tuple("Q", "a", "b"))
+        assert set(view.tuples("Q")) == {make_tuple("Q", "a", "c")}
+        assert store.view_for(1).contains(make_tuple("Q", "a", "b"))
+
+    def test_rollback_and_compaction_see_every_identity(self, collided):
+        store = collided
+        row = make_tuple("Q", "a", "b")
+        store.apply_write(delete(row), priority=2)
+        store.rollback(2)
+        assert store.view_for(2).contains(row)
+        store.apply_write(delete(row), priority=3)
+        store.compact_below(3)
+        assert not store.view_for(3).contains(row)
+        assert not store.view_for(LATEST).contains(row)
+        # The committed deletion retired both identities for good.
+        assert store.tuple_count() == 0
+
+    def test_equal_inserts_by_unordered_updates_delete_together(self, store):
+        row = make_tuple("P", "v")
+        store.apply_write(insert(row), priority=5)
+        store.apply_write(insert(row), priority=3)
+        store.apply_write(delete(row), priority=10)
+        assert not store.view_for(10).contains(row)
+        # Lower priorities still see their own insert.
+        assert store.view_for(4).contains(row)
+        assert not store.view_for(2).contains(row)
+
+    def test_durable_replay_reproduces_the_fan_out(self, store, tmp_path):
+        from repro.core.tuples import Tuple
+        from repro.storage.durable import WriteLogSegments
+
+        store.snapshot_to(str(tmp_path / "snap.json"), 0)
+        store.attach_segments(WriteLogSegments(str(tmp_path / "segments")))
+        null = LabeledNull("N1")
+        store.apply_write(insert(make_tuple("Q", "a", "b")), priority=1)
+        store.apply_write(insert(Tuple("Q", ("a", null))), priority=1)
+        store.apply_write(
+            modify(Tuple("Q", ("a", null)), make_tuple("Q", "a", "b"), null, Constant("b")),
+            priority=1,
+        )
+        store.apply_write(delete(make_tuple("Q", "a", "b")), priority=2)
+        restored, _ = VersionedDatabase.restore_from(str(tmp_path / "snap.json"))
+        for entry in WriteLogSegments(str(tmp_path / "segments")).replay():
+            restored.apply_write(entry.write, entry.priority)
+        for priority in (1, 2):
+            assert set(restored.view_for(priority).tuples("Q")) == set(
+                store.view_for(priority).tuples("Q")
+            )
+        assert not restored.view_for(2).contains(make_tuple("Q", "a", "b"))
